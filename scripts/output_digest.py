@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 per hermlie output, to show that a change alters none.
+
+Digests, one line each:
+
+* ``verify-catalog``: ``hermlie --json verify-catalog``, manifest removed;
+* ``obstruction``: ``hermlie --json obstruction ALGEBRA CONDITION`` for every
+  catalog algebra and every condition it has obstruction rows for, manifest
+  removed;
+* ``report-table``: ``hermlie --seed 0 report-table --csv``;
+* ``check_all``: the verdict, certificate and notes of every ``herm.check_all``
+  checker on every golden example with an omega, and on every
+  ``perfbench.workloads.pool_metric`` metric over each algebra's stored
+  complex structure.
+
+Each CLI digest also covers the command's exit code.  Run it from any
+directory, at two commits, and compare the lines:
+
+    python3 scripts/output_digest.py
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from hermlie import catalog, cli, herm, obstructions, search  # noqa: E402
+from hermlie.cpx import Complexification  # noqa: E402
+from perfbench import workloads  # noqa: E402
+
+
+def _sha(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _run(argv: list) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _json_without_manifest(argv: list) -> list:
+    code, text = _run(["--json"] + argv)
+    payload = json.loads(text)
+    payload.pop("manifest", None)
+    return [code, payload]
+
+
+def _obstructions() -> list:
+    out = []
+    for entry in catalog.list_entries(include_controls=True):
+        rows = obstructions.obstruction_table(algebra=entry.name)
+        for cond in sorted({r.condition for r in rows}):
+            out.append([entry.name, cond,
+                        _json_without_manifest(["obstruction", entry.name, cond])])
+    return out
+
+
+def _verdicts(cx, omega) -> dict:
+    return {name: [rep.holds, repr(sorted(rep.certificate.items())), rep.notes]
+            for name, rep in herm.check_all(cx, omega).items()}
+
+
+def _check_all() -> list:
+    out = []
+    for entry in catalog.list_entries():
+        for ex in entry.examples:
+            if not ex.omega:
+                continue
+            cx = Complexification.from_real(ex.algebra_instance(), ex.j())
+            out.append([ex.algebra, ex.omega, _verdicts(cx, cx.to_alpha(ex.omega_form()))])
+    for entry in catalog.list_entries():
+        cx = search.entry_complexification(entry)
+        for index in range(workloads.METRIC_POOL):
+            omega = herm.fundamental_form(workloads.pool_metric(entry.name, index))
+            out.append([entry.name, index, _verdicts(cx, omega)])
+    return out
+
+
+def main() -> int:
+    print(f"verify-catalog {_sha(_json_without_manifest(['verify-catalog']))}")
+    print(f"obstruction    {_sha(_obstructions())}")
+    code, csv = _run(["--seed", "0", "report-table", "--csv"])
+    print(f"report-table   {_sha([code, csv])}")
+    print(f"check_all      {_sha(_check_all())}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

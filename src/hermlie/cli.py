@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field, is_dataclass, asdict
@@ -33,6 +32,7 @@ from .catalog import (
     verify_entry,
     verify_example,
 )
+from .search import _default_seed
 
 _STATUS_SYMBOL = {
     "verified-example": "V",
@@ -96,10 +96,7 @@ def _emit_json(payload: dict, manifest: RunManifest):
 def _seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
-    try:
-        return int(os.environ.get("HERMLIE_SEED", "0"))
-    except ValueError:
-        return 0
+    return _default_seed()
 
 
 def _search_config(args):

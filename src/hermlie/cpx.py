@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
-from .forms import Form, sort_sign
+from .forms import Antiderivation, Form, sort_sign
 from .liealg import LieAlgebra, ce_differential
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, Poly, PolyRing, conj_scalar
 
@@ -177,18 +177,10 @@ class ComplexFrame:
         if len(d10) != HOLO:
             raise ValueError("need d of the three (1,0) coframe elements")
         self.d_alpha: list[Form] = list(d10) + [conj_alpha(f) for f in d10]
+        self._d = Antiderivation(self.d_alpha)
 
     def d(self, form: Form) -> Form:
-        out = Form.zero(form.dim, form.degree + 1)
-        for key, c in form.coeffs.items():
-            for t, i in enumerate(key):
-                term = Form.basis(form.dim, key[:t]).wedge(self.d_alpha[i - 1]).wedge(
-                    Form.basis(form.dim, key[t + 1:])
-                )
-                if t % 2:
-                    term = -term
-                out = out + term * c
-        return out
+        return self._d(form)
 
     @staticmethod
     def bigrade(form: Form) -> dict:
@@ -345,12 +337,10 @@ def _alpha_k_wedge_re1(k: int, coeff=1) -> Form:
 class FamilyInstance:
     """A family of complex structure equations at chosen parameter values."""
 
-    def __init__(self, family_id: str, params: dict, frame: ComplexFrame,
-                 metric_shape: str = "full"):
+    def __init__(self, family_id: str, params: dict, frame: ComplexFrame):
         self.family_id = family_id
         self.params = dict(params)
         self.frame = frame
-        self.metric_shape = metric_shape  # "full" or "almost_abelian"
         self._cx: Optional[Complexification] = None
 
     def complexification(self) -> Complexification:
@@ -709,13 +699,10 @@ def instantiate_family(family_id: str, params: Optional[Mapping] = None) -> Fami
     params = dict(params or {})
     if family_id.startswith("AA-"):
         d10 = _aa_family(family_id, params)
-        shape = "almost_abelian"
     elif family_id.startswith("HT-"):
         d10 = _heis_family(family_id, params)
-        shape = "full"
     elif family_id.startswith("N5"):
         d10 = _n5_family(family_id, params)
-        shape = "full"
     else:
         raise KeyError(f"unknown family {family_id!r}")
-    return FamilyInstance(family_id, params, ComplexFrame(d10), metric_shape=shape)
+    return FamilyInstance(family_id, params, ComplexFrame(d10))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from .scalars import GaussianRational, conj_scalar
+from .scalars import conj_scalar
 
 
 def merge_sign(a: tuple, b: tuple):
@@ -220,12 +220,6 @@ class Form:
         """Coefficient-wise complex conjugation (basis indices untouched)."""
         return self.map_coefficients(conj_scalar)
 
-    def to_complex(self) -> "Form":
-        """Numeric copy with ``complex`` coefficients."""
-        return self.map_coefficients(
-            lambda c: complex(c) if isinstance(c, GaussianRational) else complex(c)
-        )
-
     def substitute_basis(self, images: Mapping[int, "Form"]) -> "Form":
         """Replace coframe elements: ``f^i -> images[i]`` (1-forms), wedge-expand.
 
@@ -264,9 +258,37 @@ class Form:
             parts.append(f"({c!r})*{label}" if key else f"({c!r})")
         return " + ".join(parts)
 
-    def norm_sq_float(self) -> float:
-        """Sum of squared magnitudes of (numeric) coefficients."""
-        return float(sum(abs(complex(c)) ** 2 for c in self.coeffs.values()))
+
+class Antiderivation:
+    """The degree-one antiderivation d with ``d f^i = d1[i - 1]``.
+
+    d of each basis monomial is expanded by the Leibniz rule the first time
+    it is needed and kept on the instance, so the cache lives exactly as
+    long as the algebra or frame that owns the operator.
+    """
+
+    def __init__(self, d1: Sequence[Form]):
+        self.d1 = d1
+        self._monomials: dict[tuple, Form] = {}
+
+    def _monomial(self, dim: int, key: tuple) -> Form:
+        out = Form.zero(dim, len(key) + 1)
+        for t, i in enumerate(key):
+            term = Form.basis(dim, key[:t]).wedge(self.d1[i - 1]).wedge(
+                Form.basis(dim, key[t + 1:])
+            )
+            out = out - term if t % 2 else out + term
+        return out
+
+    def __call__(self, form: Form) -> Form:
+        out = Form.zero(form.dim, form.degree + 1)
+        for key, c in form.coeffs.items():
+            dk = self._monomials.get(key)
+            if dk is None:
+                dk = self._monomials[key] = self._monomial(form.dim, key)
+            if dk:
+                out = out + dk * c
+        return out
 
 
 def all_index_tuples(dim: int, degree: int):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .cpx import HOLO, Complexification, ComplexFrame, conj_alpha
+from .cpx import HOLO, Complexification, ComplexFrame
 from .forms import Form
 from .liealg import ce_differential
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, conj_scalar
@@ -150,17 +150,20 @@ def lee_form(cx: Complexification, omega: Form) -> Form:
     om_real = cx.to_real(om)
     om2 = om_real.wedge(om_real)
     dom2 = ce_differential(cx.g, om2)
-    cols = []
-    for i in range(1, n + 1):
-        w = Form.basis(n, (i,)).wedge(om2)
-        cols.append(w)
-    keys = sorted({k for c in cols for k in c.coeffs} | set(dom2.coeffs))
-    mat = [[c.coeffs.get(k, GR_ZERO) for c in cols] for k in keys]
-    rhs = [dom2.coeffs.get(k, GR_ZERO) for k in keys]
-    sol = linalg.solve(mat, rhs)
+    cols = [Form.basis(n, (i,)).wedge(om2) for i in range(1, n + 1)]
+    sol = linalg.solve(*_system(cols, dom2))
     if sol is None:
         raise ValueError("omega^2 is degenerate; no Lee form")
     return Form(n, 1, {(i + 1,): sol[i] for i in range(n)})
+
+
+def _system(cols: Sequence[Form], target: Form) -> tuple[list, list]:
+    """Matrix and right-hand side of ``sum_j x_j cols[j] = target``, one row
+    per monomial that occurs in a column or in the target."""
+    keys = sorted({k for c in cols for k in c.coeffs} | set(target.coeffs))
+    mat = [[c.coeffs.get(k, GR_ZERO) for c in cols] for k in keys]
+    rhs = [target.coeffs.get(k, GR_ZERO) for k in keys]
+    return mat, rhs
 
 
 def closed_one_forms(cx: Complexification) -> list[Form]:
@@ -232,13 +235,8 @@ def check_lck(cx: Complexification, omega: Form) -> ConditionReport:
     primary = (not resid) and (not ce_differential(cx.g, theta))
 
     # variant: solve d omega = mu ^ omega over closed 1-forms
-    closed = closed_one_forms(cx)
-    cols = [mu.wedge(om_real) for mu in closed]
-    keys = sorted({k for c in cols for k in c.coeffs} | set(dom.coeffs))
-    mat = [[c.coeffs.get(k, GR_ZERO) for c in cols] for k in keys]
-    rhs = [dom.coeffs.get(k, GR_ZERO) for k in keys]
-    sol = linalg.solve(mat, rhs) if cols else ([] if not dom else None)
-    variant = sol is not None
+    cols = [mu.wedge(om_real) for mu in closed_one_forms(cx)]
+    variant = linalg.solve(*_system(cols, dom)) is not None
     if primary != variant:
         raise AssertionError("LCK formulations disagree on this structure")
     cert = {"lee_form": repr(theta)} if primary else {}
@@ -259,10 +257,7 @@ def check_lcskt(cx: Complexification, omega: Form) -> ConditionReport:
         )
     dH = ce_differential(cx.g, H_real)
     closed = closed_one_forms(cx)
-    cols = [mu.wedge(H_real) for mu in closed]
-    keys = sorted({k for c in cols for k in c.coeffs} | set(dH.coeffs))
-    mat = [[c.coeffs.get(k, GR_ZERO) for c in cols] for k in keys]
-    rhs = [dH.coeffs.get(k, GR_ZERO) for k in keys]
+    mat, rhs = _system([mu.wedge(H_real) for mu in closed], dH)
     if dH:
         sol = linalg.solve(mat, rhs)
         if sol is None:
@@ -270,7 +265,7 @@ def check_lcskt(cx: Complexification, omega: Form) -> ConditionReport:
         mu = _combine(closed, sol)
         return ConditionReport("lcskt", True, certificate={"mu": repr(mu)})
     # dH = 0 (SKT): need a nonzero closed mu with mu ^ H = 0
-    kernel = linalg.nullspace(mat, ncols=len(cols)) if cols else []
+    kernel = linalg.nullspace(mat, ncols=len(closed)) if closed else []
     for v in kernel:
         if any(v):
             mu = _combine(closed, v)
@@ -318,10 +313,7 @@ def check_strongly_gauduchon(cx_or_frame, omega: Form) -> ConditionReport:
     target = frame.project(frame.d(om2), 3, 2)
     betas = [Form(6, 4, {(1, 2, 3, _bar(k)): GR_ONE}) for k in (1, 2, 3)]
     cols = [frame.project(frame.d(b), 3, 2) for b in betas]
-    keys = sorted({k for c in cols for k in c.coeffs} | set(target.coeffs))
-    mat = [[GaussianRational.coerce(c.coeffs.get(k, GR_ZERO)) for c in cols] for k in keys]
-    rhs = [GaussianRational.coerce(target.coeffs.get(k, GR_ZERO)) for k in keys]
-    sol = linalg.solve(mat, rhs)
+    sol = linalg.solve(*_system(cols, target))
     cert = {}
     if sol is not None:
         cert = {"beta_coefficients": [repr(c) for c in sol]}
@@ -337,21 +329,13 @@ def check_tamed(cx_or_frame, omega: Form) -> ConditionReport:
     frame = cx_or_frame.frame if isinstance(cx_or_frame, Complexification) else cx_or_frame
     del_om = frame.project(frame.d(omega), 2, 1)
     betas = [Form(6, 2, {key: GR_ONE}) for key in ((1, 2), (1, 3), (2, 3))]
-    rows_cols = []
+    # one column per beta: the (2,1) part of d beta must match del omega
+    # and its (3,0) part must vanish; the two monomial sets are disjoint
+    cols = []
     for b in betas:
         db = frame.d(b)
-        rows_cols.append((frame.project(db, 2, 1), frame.project(db, 3, 0)))
-    keys21 = sorted({k for c, _ in rows_cols for k in c.coeffs} | set(del_om.coeffs))
-    keys30 = sorted({k for _, c in rows_cols for k in c.coeffs})
-    mat = []
-    rhs = []
-    for k in keys21:
-        mat.append([GaussianRational.coerce(c.coeffs.get(k, GR_ZERO)) for c, _ in rows_cols])
-        rhs.append(GaussianRational.coerce(del_om.coeffs.get(k, GR_ZERO)))
-    for k in keys30:
-        mat.append([GaussianRational.coerce(c.coeffs.get(k, GR_ZERO)) for _, c in rows_cols])
-        rhs.append(GR_ZERO)
-    sol = linalg.solve(mat, rhs)
+        cols.append(frame.project(db, 2, 1) + frame.project(db, 3, 0))
+    sol = linalg.solve(*_system(cols, del_om))
     return ConditionReport(
         "tamed", sol is not None,
         certificate={"beta_coefficients": [repr(c) for c in sol]} if sol is not None else {},

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
-from .forms import Form
+from .forms import Antiderivation, Form
 from .scalars import GR_ONE, GR_ZERO, GaussianRational
 
 
@@ -38,6 +38,7 @@ class LieAlgebra:
         for i, df in enumerate(self.d1):
             if df.dim != dim or df.degree != 2:
                 raise ValueError(f"d f^{i + 1} must be a 2-form on the same coframe")
+        self._d = Antiderivation(self.d1)
 
     # -- structure constants ------------------------------------------
     def structure_constant(self, i: int, j: int, k: int) -> GaussianRational:
@@ -76,16 +77,7 @@ class LieAlgebra:
 
 def ce_differential(g: LieAlgebra, form: Form) -> Form:
     """d of a left-invariant form, extended as an antiderivation."""
-    out = Form.zero(g.dim, form.degree + 1)
-    for key, c in form.coeffs.items():
-        for t, i in enumerate(key):
-            term = Form.basis(g.dim, key[:t]).wedge(g.d1[i - 1]).wedge(
-                Form.basis(g.dim, key[t + 1:])
-            )
-            if t % 2:
-                term = -term
-            out = out + term * c
-    return out
+    return g._d(form)
 
 
 def jacobi_holds(g: LieAlgebra) -> bool:
@@ -531,39 +523,6 @@ def verify_nilradical(g: LieAlgebra, basis: Subspace) -> dict:
         "codimension": codim,
         "certified_nilradical": certified,
     }
-
-
-def induced_endomorphism(
-    matrix: Sequence[Sequence], sub: Subspace, modulo: Subspace
-) -> tuple[list, Subspace]:
-    """Matrix of an endomorphism induced on ``sub / modulo``.
-
-    ``matrix`` must map ``sub`` into ``sub`` and ``modulo`` into ``modulo``.
-    The quotient basis is chosen greedily from ``sub`` (first vectors
-    independent of ``modulo``).  Returns (matrix on quotient, complement
-    vectors used as the quotient basis).
-    """
-    modulo = span_basis(modulo)
-    complement: Subspace = []
-    for v in sub:
-        if not linalg.in_span(modulo + complement, v):
-            complement.append(v)
-    full = modulo + complement
-    mat_cols = linalg.transpose(full)
-    k = len(complement)
-    out = [[GR_ZERO] * k for _ in range(k)]
-    for j, v in enumerate(complement):
-        w = linalg.mat_vec(linalg.coerce_matrix(matrix), linalg.coerce_vector(v))
-        coords = linalg.solve(mat_cols, w)
-        if coords is None:
-            raise ValueError("endomorphism does not preserve the subspace")
-        for i in range(k):
-            out[i][j] = coords[len(modulo) + i]
-    return out, complement
-
-
-def _trace(m: Sequence[Sequence]) -> GaussianRational:
-    return sum((m[i][i] for i in range(len(m))), GR_ZERO)
 
 
 def is_strongly_unimodular(g: LieAlgebra, nilradical: Optional[Subspace] = None) -> bool:

@@ -24,26 +24,8 @@ def coerce_vector(v: Sequence) -> Vector:
     return [GaussianRational.coerce(x) for x in v]
 
 
-def zeros(n: int, m: int) -> Matrix:
-    return [[GR_ZERO for _ in range(m)] for _ in range(n)]
-
-
 def identity(n: int) -> Matrix:
     return [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        for t in range(k):
-            ait = a[i][t]
-            if not ait:
-                continue
-            for j in range(m):
-                if b[t][j]:
-                    out[i][j] = out[i][j] + ait * b[t][j]
-    return out
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:

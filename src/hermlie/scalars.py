@@ -67,6 +67,8 @@ class GaussianRational:
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
         if isinstance(other, GaussianRational):
+            if not (self.im or other.im):
+                return GaussianRational(self.re + other.re)
             return GaussianRational(self.re + other.re, self.im + other.im)
         if isinstance(other, (int, Fraction)):
             return GaussianRational(self.re + other, self.im)
@@ -90,6 +92,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
+            if not (self.im or other.im):
+                return GaussianRational(self.re * other.re)
             return GaussianRational(
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,

@@ -44,6 +44,7 @@ from .cpx import (
 from .herm import (
     CHECKERS,
     HermitianMetric,
+    _bar,
     closed_one_forms,
     fundamental_form,
     is_positive,
@@ -170,57 +171,9 @@ def _j_residual_numpy(C: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([r1, r2])
 
 
-def _j_residual_loops(C, x):
-    # same residual, written with explicit loops so it can be jit-compiled
-    J = x.reshape(6, 6)
-    out = np.empty(126)
-    idx = 0
-    for i in range(6):
-        for a in range(6):
-            for b in range(a + 1, 6):
-                v = C[i, a, b]
-                for l in range(6):
-                    t2 = 0.0
-                    t3 = 0.0
-                    for j in range(6):
-                        t2 += C[l, j, b] * J[j, a]
-                        t3 += C[l, a, j] * J[j, b]
-                    v += J[i, l] * (t2 + t3)
-                t4 = 0.0
-                for j in range(6):
-                    for k in range(6):
-                        t4 += C[i, j, k] * J[j, a] * J[k, b]
-                out[idx] = v - t4
-                idx += 1
-    for i in range(6):
-        for k in range(6):
-            s = 1.0 if i == k else 0.0
-            for l in range(6):
-                s += J[i, l] * J[l, k]
-            out[idx] = s
-            idx += 1
-    return out
-
-
-_J_KERNEL = None
-
-
 def j_residual_kernel():
-    """The hot residual kernel: numba-compiled unless HERMLIE_DISABLE_NUMBA."""
-    global _J_KERNEL
-    if _J_KERNEL is not None:
-        return _J_KERNEL
-    if os.environ.get("HERMLIE_DISABLE_NUMBA"):
-        _J_KERNEL = _j_residual_numpy
-        return _J_KERNEL
-    try:
-        import numba
-
-        _J_KERNEL = numba.njit(cache=False)(_j_residual_loops)
-        _J_KERNEL(np.zeros((6, 6, 6)), np.zeros(36))  # compile now
-    except Exception:
-        _J_KERNEL = _j_residual_numpy
-    return _J_KERNEL
+    """The residual kernel :func:`find_complex_structure` evaluates."""
+    return _j_residual_numpy
 
 
 def _is_zero_scalar(c) -> bool:
@@ -300,10 +253,6 @@ def _vec(form: Form, slots) -> np.ndarray:
     return np.array([_cnum(form.coeffs.get(t, 0)) for t in slots], dtype=complex)
 
 
-def _bar(k: int) -> int:
-    return k + 3
-
-
 def _metric_basis_forms():
     """Nine real-coefficient 2-forms spanning the Hermitian metric forms.
 
@@ -345,7 +294,6 @@ class _MetricResidual:
     def __init__(self, cx: Complexification, condition: str):
         if condition not in CHECKERS:
             raise ValueError(f"unknown condition: {condition!r}")
-        self.condition = condition
         frame = cx.frame
         basis = _metric_basis_forms()
         d3, d4, d5 = _slots(3), _slots(4), _slots(5)
@@ -354,6 +302,7 @@ class _MetricResidual:
         self._quad = None      # (slots, 9, 9): residual = T[z,s,t] p_s p_t
         self._proj = None      # applied after _lin/_quad
         self._mu_cols = None   # list of (slots, 9): candidate mu wedge columns
+        self._mu_quads = None  # list of (slots, 9, 9): the same for quadratic residuals
 
         if condition == "kahler":
             self._lin = np.stack([_vec(frame.d(b), d3) for b in basis], axis=1)
@@ -441,7 +390,7 @@ class _MetricResidual:
                 target = self._fit_mu(target, [cols @ p for cols in self._mu_cols])
         else:
             target = np.einsum("zst,s,t->z", self._quad, p, p)
-            if getattr(self, "_mu_quads", None) is not None and self.condition == "lcb":
+            if self._mu_quads is not None:
                 target = self._fit_mu(
                     target, [np.einsum("zst,s,t->z", q, p, p) for q in self._mu_quads]
                 )

@@ -83,16 +83,26 @@ class TestComplexification:
         assert cx.to_real(cx.to_alpha(w)) == w
 
     def test_frame_d_matches_real_differential(self):
-        ex_cx = None
         from hermlie.catalog import get_entry
         entry = get_entry("s6.25")
         ex = entry.examples[0]
         g = ex.algebra_instance()
         ex_cx = Complexification.from_real(g, ex.j())
-        w = ex_cx.to_alpha(Form(6, 2, {(1, 4): GR_ONE, (2, 3): GR_ONE}))
-        lhs = ex_cx.frame.d(w)
-        rhs = ex_cx.to_alpha(ce_differential(g, ex_cx.to_real(w)))
-        assert lhs == rhs
+        half = GaussianRational(Fraction(1, 2))
+        forms = [
+            Form(6, 0, {(): GR_ONE}),
+            Form(6, 1, {(2,): GR_ONE, (4,): GR_I}),
+            ex_cx.to_alpha(Form(6, 2, {(1, 4): GR_ONE, (2, 3): GR_ONE})),
+            Form(6, 3, {(1, 2, 6): GR_ONE, (3, 4, 5): half}),
+            Form(6, 4, {(1, 3, 4, 6): GR_ONE, (2, 3, 5, 6): GR_I}),
+            Form(6, 5, {(1, 2, 3, 4, 6): GR_ONE, (2, 3, 4, 5, 6): -half}),
+        ]
+        for w in forms:
+            # the second pass reads d of each monomial from the caches
+            for _ in range(2):
+                lhs = ex_cx.frame.d(w)
+                rhs = ex_cx.to_alpha(ce_differential(g, ex_cx.to_real(w)))
+                assert lhs == rhs, w.degree
 
 
 class TestFrameOperators:

@@ -10,7 +10,6 @@ from hermlie.liealg import parse_structure_equations
 from hermlie.search import (
     SearchConfig,
     SearchOutcome,
-    _j_residual_loops,
     _j_residual_numpy,
     _structure_tensor,
     classification_sweep,
@@ -37,16 +36,6 @@ class TestConfig:
 
 
 class TestResidualKernels:
-    def test_numpy_and_loop_kernels_agree(self):
-        rng = np.random.default_rng(3)
-        g = get_entry("s6.145^0").algebra_instance()
-        C = _structure_tensor(g)
-        for _ in range(25):
-            x = rng.uniform(-2, 2, 36)
-            a = _j_residual_numpy(C, x)
-            b = np.asarray(_j_residual_loops(C, x))
-            assert np.allclose(a, b, atol=1e-12)
-
     def test_zero_residual_iff_integrable(self):
         ex = get_entry("s6.145^0").examples[0]
         g = ex.algebra_instance()
