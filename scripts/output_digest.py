@@ -11,7 +11,12 @@ Digests, one line each:
 * ``check_all``: the verdict, certificate and notes of every ``herm.check_all``
   checker on every golden example with an omega, and on every
   ``perfbench.workloads.pool_metric`` metric over each algebra's stored
-  complex structure.
+  complex structure;
+* ``search``: the verdict class (``exact``, ``float`` or ``exhausted``, as in
+  ``perfbench.workloads.search_verdict``) of ``search.find_complex_structure``
+  at ``SearchConfig(seed=0)`` on every catalog algebra and negative control.
+  Residuals and restart counts are left out: a change to the search's float
+  arithmetic may move a hit to another restart without changing a verdict.
 
 Each CLI digest also covers the command's exit code.  Run it from any
 directory, at two commits, and compare the lines:
@@ -84,12 +89,19 @@ def _check_all() -> list:
     return out
 
 
+def _search_verdicts() -> list:
+    return [[entry.name, workloads.search_verdict(search.find_complex_structure(
+                entry.algebra_instance(), search.SearchConfig(seed=0)))]
+            for entry in catalog.list_entries(include_controls=True)]
+
+
 def main() -> int:
     print(f"verify-catalog {_sha(_json_without_manifest(['verify-catalog']))}")
     print(f"obstruction    {_sha(_obstructions())}")
     code, csv = _run(["--seed", "0", "report-table", "--csv"])
     print(f"report-table   {_sha([code, csv])}")
     print(f"check_all      {_sha(_check_all())}")
+    print(f"search         {_sha(_search_verdicts())}")
     return 0
 
 

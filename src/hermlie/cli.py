@@ -99,17 +99,18 @@ def _seed(args) -> int:
     return _default_seed()
 
 
-def _search_config(args):
+def _search_config(args, **defaults):
+    """``SearchConfig`` from the command's options; bad values exit 2."""
     from .search import SearchConfig
 
-    kw = {"seed": _seed(args)}
-    if getattr(args, "restarts", None) is not None:
-        kw["restarts"] = args.restarts
-    if getattr(args, "tol", None) is not None:
-        kw["tol"] = args.tol
-    if getattr(args, "max_iters", None) is not None:
-        kw["max_iters"] = args.max_iters
-    return SearchConfig(**kw)
+    kw = {"seed": _seed(args), **defaults}
+    for name in ("restarts", "tol", "max_iters"):
+        if getattr(args, name, None) is not None:
+            kw[name] = getattr(args, name)
+    try:
+        return SearchConfig(**kw)
+    except ValueError as err:
+        raise _SchemaError(str(err)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +154,7 @@ def _examples_from_file(path: str) -> list:
 
 
 class _SchemaError(Exception):
-    pass
+    """Bad input file or option; ``main`` prints it and exits 2."""
 
 
 def _stock_examples() -> list:
@@ -436,14 +437,9 @@ def cmd_lattice_probe(args, manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_report_table(args, manifest: RunManifest) -> int:
-    from .search import classification_sweep, SearchConfig
+    from .search import classification_sweep
 
-    cfg = SearchConfig(
-        seed=_seed(args),
-        restarts=args.restarts if args.restarts is not None else 8,
-        max_iters=args.max_iters if args.max_iters is not None else 40,
-    )
-    result = classification_sweep(cfg=cfg)
+    result = classification_sweep(cfg=_search_config(args, restarts=8, max_iters=40))
     conds = result["conditions"]
 
     if args.json:

@@ -149,7 +149,7 @@ class Form:
         out = Form.zero(self.dim, self.degree)
         if not scalar:
             return out
-        out.coeffs = {k: c * scalar for k, c in self.coeffs.items() if c * scalar}
+        out.coeffs = {k: v for k, c in self.coeffs.items() if (v := c * scalar)}
         return out
 
     __rmul__ = __mul__

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .cpx import HOLO, Complexification, ComplexFrame
-from .forms import Form
+from .forms import Form, all_index_tuples
 from .liealg import ce_differential
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, conj_scalar
 
@@ -167,19 +167,18 @@ def _system(cols: Sequence[Form], target: Form) -> tuple[list, list]:
 
 
 def closed_one_forms(cx: Complexification) -> list[Form]:
-    """Basis of closed real 1-forms on the algebra."""
-    n = cx.g.dim
-    from .forms import all_index_tuples
-
-    keys = all_index_tuples(n, 2)
-    rows = []
-    for key in keys:
-        rows.append([
-            GaussianRational.coerce(cx.g.d1[i].coeffs.get(key, GR_ZERO))
-            for i in range(n)
-        ])
-    kernel = linalg.nullspace(rows, ncols=n)
-    return [Form(n, 1, {(i + 1,): v[i] for i in range(n)}) for v in kernel]
+    """Basis of closed real 1-forms on the algebra, solved once per algebra."""
+    g = cx.g
+    if g._closed_one_forms is None:
+        rows = [
+            [GaussianRational.coerce(g.d1[i].coeffs.get(key, GR_ZERO)) for i in range(g.dim)]
+            for key in all_index_tuples(g.dim, 2)
+        ]
+        kernel = linalg.nullspace(rows, ncols=g.dim)
+        g._closed_one_forms = [
+            Form(g.dim, 1, {(i + 1,): v[i] for i in range(g.dim)}) for v in kernel
+        ]
+    return list(g._closed_one_forms)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ class LieAlgebra:
             if df.dim != dim or df.degree != 2:
                 raise ValueError(f"d f^{i + 1} must be a 2-form on the same coframe")
         self._d = Antiderivation(self.d1)
+        self._closed_one_forms = None  # filled by herm.closed_one_forms on first use
 
     # -- structure constants ------------------------------------------
     def structure_constant(self, i: int, j: int, k: int) -> GaussianRational:

@@ -1,19 +1,20 @@
 """Randomized float search for complex structures and special Hermitian metrics.
 
-Two searches are provided, both built on a damped Gauss-Newton
-(Levenberg-Marquardt style) loop over a stacked residual vector with a
-finite-difference Jacobian:
+Two searches are provided, both built on one damped Gauss-Newton
+(Levenberg-Marquardt style) loop over a stacked residual vector:
 
 * :func:`find_complex_structure` minimizes ``|N^J|^2 + |J^2 + Id|^2`` over all
-  36 entries of an endomorphism ``J``.  A hit below tolerance is followed by
-  rational reconstruction and an exact integrability recheck.
+  36 entries of an endomorphism ``J``.  The residual is a constant plus a
+  quadratic form in ``J``, built once per algebra from its nonzero structure
+  constants, so the loop uses its exact Jacobian.  A hit below tolerance is
+  followed by rational reconstruction and an exact integrability recheck.
 * :func:`find_metric` searches the metric coefficients ``(lambda, w)`` of a
-  Hermitian structure for a fixed integrable ``J``; positivity is enforced by
-  parameterizing the coefficient matrix through a Cholesky factor with
-  exponential diagonal.  Linear sub-certificates (twisting one-forms ``mu``,
-  potential forms ``beta``) are fitted by least squares at every iterate, and
-  a float hit is only reported "found" after the exact checker accepts a
-  rationally reconstructed witness.
+  Hermitian structure for a fixed integrable ``J``, with a forward-difference
+  Jacobian; positivity is enforced by parameterizing the coefficient matrix
+  through a Cholesky factor with exponential diagonal.  Linear
+  sub-certificates (twisting one-forms ``mu``, potential forms ``beta``) are
+  fitted by least squares at every iterate, and a float hit is only reported
+  "found" after the exact checker accepts a rationally reconstructed witness.
 
 :func:`classification_sweep` combines exact example verification, exact
 obstruction replay, and search exhaustion into the existence grid.  Searches
@@ -27,7 +28,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -80,10 +81,12 @@ class SearchConfig:
     fd_eps: float = 1e-7
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol < float("inf"):  # also rejects NaN
+            raise ValueError("tolerance must be positive and finite")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must not be negative")
 
 
 @dataclass
@@ -100,24 +103,32 @@ class SearchOutcome:
 # generic damped least-squares loop
 # ---------------------------------------------------------------------------
 
-def _lm_minimize(fn, x0: np.ndarray, cfg: SearchConfig):
-    """Minimize |fn(x)|^2; returns (x_best, inf_norm_best)."""
+def _lm_minimize(fn, x0: np.ndarray, cfg: SearchConfig, jac=None):
+    """Minimize |fn(x)|^2; returns (x_best, inf_norm_best).
+
+    ``jac(x, r)`` returns the Jacobian of ``fn`` at ``x``, where ``r = fn(x)``;
+    without it, forward differences of step ``cfg.fd_eps`` are taken.
+    """
+    if jac is None:
+        def jac(x, r):
+            out = np.empty((r.size, x.size))
+            for i in range(x.size):
+                xp = x.copy()
+                xp[i] += cfg.fd_eps
+                out[:, i] = (fn(xp) - r) / cfg.fd_eps
+            return out
+
     x = np.asarray(x0, dtype=float).copy()
     r = fn(x)
     cost = float(r @ r)
     lam = cfg.damping
-    n = x.size
-    eye = np.eye(n)
+    eye = np.eye(x.size)
     for _ in range(cfg.max_iters):
         if np.max(np.abs(r)) < 0.01 * cfg.tol:
             break
-        jac = np.empty((r.size, n))
-        for i in range(n):
-            xp = x.copy()
-            xp[i] += cfg.fd_eps
-            jac[:, i] = (fn(xp) - r) / cfg.fd_eps
-        g = jac.T @ r
-        a = jac.T @ jac
+        jx = jac(x, r)
+        g = jx.T @ r
+        a = jx.T @ jx
         improved = False
         for _ in range(8):
             try:
@@ -159,21 +170,66 @@ def _structure_tensor(g: LieAlgebra) -> np.ndarray:
     return C
 
 
-def _j_residual_numpy(C: np.ndarray, x: np.ndarray) -> np.ndarray:
-    J = x.reshape(6, 6)
-    b1 = np.einsum("ljb,ja->lab", C, J)
-    b2 = np.einsum("laj,jb->lab", C, J)
-    b3 = np.einsum("ijk,ja,kb->iab", C, J, J)
-    N = C + np.einsum("il,lab->iab", J, b1 + b2) - b3
-    iu, ju = np.triu_indices(6, 1)
-    r1 = N[:, iu, ju].reshape(-1)
-    r2 = (J @ J + np.eye(6)).reshape(-1)
-    return np.concatenate([r1, r2])
+class _JModel(NamedTuple):
+    """The J residual ``const + Q[x, x]`` as sparse Jacobian terms: term ``t``
+    adds ``vals[t] * x[cols[t]]`` to the flattened Jacobian entry ``flat[t]``
+    (row * 36 + column), so that ``jac @ x = 2 Q[x, x]``."""
+
+    const: np.ndarray
+    flat: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def _j_model(C: np.ndarray) -> _JModel:
+    """Residual model of ``(N, J^2 + Id)`` in ``x = vec(J)``, from ``C[i,j,k]``.
+
+    The first 90 rows are the components ``N(f_a, f_b)^i`` for ``a < b``,
+    ``i``-major, of the Nijenhuis tensor of :func:`~hermlie.cpx.nijenhuis`,
+    ``N(X, Y) = [X, Y] + J[JX, Y] + J[X, JY] - [JX, JY]``; the last 36 are
+    ``J^2 + Id``, row-major.  Neither part has a linear term, and every
+    quadratic term of ``N`` carries one nonzero structure constant.
+    """
+    n, nn = 6, 36
+    iu, ju = np.triu_indices(n, 1)
+    pair = np.full((n, n), -1)
+    pair[iu, ju] = np.arange(iu.size)
+    p, q, s = (t[:, None, None] for t in np.nonzero(C))
+    w = C[p, q, s]
+    r = np.arange(n)
+    f1, f2 = np.ix_(r, r)
+    terms = []  # (row, u, v, coef): coef * x[u] * x[v] in residual row
+
+    def n_terms(i, a, b, u, v, coef):
+        i, a, b, u, v, coef = np.broadcast_arrays(i, a, b, u, v, coef)
+        keep = a < b
+        terms.append((i[keep] * iu.size + pair[a[keep], b[keep]],
+                      u[keep], v[keep], coef[keep]))
+
+    n_terms(f1, f2, s, n * f1 + p, n * q + f2, w)    # J[i,p] C[p,q,b] J[q,a]
+    n_terms(f1, q, f2, n * f1 + p, n * s + f2, w)    # J[i,p] C[p,a,s] J[s,b]
+    n_terms(p, f1, f2, n * q + f1, n * s + f2, -w)   # -C[i,q,s] J[q,a] J[s,b]
+    i, m, k = np.ix_(r, r, r)                        # J[i,m] J[m,k]
+    terms.append(np.broadcast_arrays(iu.size * n + n * i + k, n * i + m, n * m + k, 1.0))
+
+    # Repeated (row, u, v) terms stay unmerged: merging saves at most a
+    # quarter of them, and np.unique's sort raised peak RSS by about 0.8 MB.
+    row, u, v, coef = (np.concatenate([t.reshape(-1) for t in part]) for part in zip(*terms))
+    const = np.concatenate([C[:, iu, ju].reshape(-1), np.eye(n).reshape(-1)])
+    return _JModel(const, np.concatenate([row * nn + u, row * nn + v]),
+                   np.concatenate([v, u]), np.concatenate([coef, coef]))
+
+
+def _j_residual(model: _JModel, x: np.ndarray):
+    """Residual and exact Jacobian of the J search at ``x = vec(J)``."""
+    jac = np.bincount(model.flat, model.vals * x[model.cols],
+                      minlength=model.const.size * x.size).reshape(-1, x.size)
+    return model.const + 0.5 * (jac @ x), jac
 
 
 def j_residual_kernel():
-    """The residual kernel :func:`find_complex_structure` evaluates."""
-    return _j_residual_numpy
+    """The residual-and-Jacobian kernel :func:`find_complex_structure` uses."""
+    return _j_residual
 
 
 def _is_zero_scalar(c) -> bool:
@@ -201,11 +257,14 @@ def _exactify_j(g: LieAlgebra, x: np.ndarray):
 def find_complex_structure(g: LieAlgebra, cfg: Optional[SearchConfig] = None) -> SearchOutcome:
     """Search for an integrable almost complex structure on ``g``."""
     cfg = cfg or SearchConfig()
-    C = _structure_tensor(g)
+    model = _j_model(_structure_tensor(g))
     kernel = j_residual_kernel()
 
     def fn(x):
-        return kernel(C, x)
+        return kernel(model, x)[0]
+
+    def jac(x, r):
+        return kernel(model, x)[1]
 
     rng = np.random.default_rng(cfg.seed)
     std = np.array(
@@ -214,7 +273,7 @@ def find_complex_structure(g: LieAlgebra, cfg: Optional[SearchConfig] = None) ->
     best_norms = []
     for t in range(cfg.restarts):
         x0 = std if t == 0 else rng.uniform(-2.0, 2.0, 36)
-        x, nrm = _lm_minimize(fn, x0, cfg)
+        x, nrm = _lm_minimize(fn, x0, cfg, jac)
         best_norms.append(nrm)
         if nrm <= cfg.tol:
             Jq = _exactify_j(g, x)

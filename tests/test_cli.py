@@ -102,6 +102,21 @@ class TestSearch:
         code, _, err = run(capsys, "search", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("search", "s6.25", "--restarts", "0"),
+        ("search", "s6.25", "--tol", "0"),
+        ("search", "s6.25", "--tol", "nan"),
+        ("search", "s6.25", "--tol", "inf"),
+        ("search", "s6.25", "--max-iters", "-3"),
+        ("report-table", "--restarts", "0"),
+        ("report-table", "--max-iters", "-1"),
+    ])
+    def test_bad_search_options(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
 
 class TestObstruction:
     def test_replay(self, capsys):

@@ -1,21 +1,25 @@
 """Randomized searches with exact verification of every reported witness."""
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from hermlie import Complexification
-from hermlie.catalog import get_entry
-from hermlie.cpx import is_integrable, squares_to_minus_id
+from hermlie.catalog import get_entry, list_entries
+from hermlie.cpx import is_integrable, nijenhuis, squares_to_minus_id
 from hermlie.herm import CHECKERS, fundamental_form, is_positive
 from hermlie.liealg import parse_structure_equations
 from hermlie.search import (
     SearchConfig,
     SearchOutcome,
-    _j_residual_numpy,
+    _j_model,
     _structure_tensor,
     classification_sweep,
     entry_complexification,
     find_complex_structure,
     find_metric,
+    j_residual_kernel,
 )
 
 ABELIAN = parse_structure_equations("(0, 0, 0, 0, 0, 0)", name="abelian")
@@ -23,10 +27,14 @@ ABELIAN = parse_structure_equations("(0, 0, 0, 0, 0, 0)", name="abelian")
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SearchConfig(tol=tol)
         with pytest.raises(ValueError):
             SearchConfig(restarts=0)
+        with pytest.raises(ValueError):
+            SearchConfig(max_iters=-1)
+        assert SearchConfig(max_iters=0).max_iters == 0
 
     def test_seed_env_default(self, monkeypatch):
         monkeypatch.setenv("HERMLIE_SEED", "17")
@@ -39,10 +47,42 @@ class TestResidualKernels:
     def test_zero_residual_iff_integrable(self):
         ex = get_entry("s6.145^0").examples[0]
         g = ex.algebra_instance()
-        C = _structure_tensor(g)
+        model = _j_model(_structure_tensor(g))
         J = np.array([[float(complex(x).real) for x in row] for row in ex.j()])
-        r = _j_residual_numpy(C, J.reshape(-1))
+        r, _ = j_residual_kernel()(model, J.reshape(-1))
         assert np.abs(r).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "entry", list_entries(include_controls=True), ids=lambda e: e.name)
+    def test_jacobian_matches_central_difference(self, entry):
+        kernel = j_residual_kernel()
+        model = _j_model(_structure_tensor(entry.algebra_instance()))
+        rng = np.random.default_rng(7)
+        h = 1e-6
+        for _ in range(3):
+            x = rng.uniform(-2.0, 2.0, 36)
+            _, jac = kernel(model, x)
+            steps = np.eye(36) * h
+            fd = np.stack([(kernel(model, x + e)[0] - kernel(model, x - e)[0]) / (2 * h)
+                           for e in steps], axis=1)
+            # the residual is quadratic, so the central difference is exact
+            # up to rounding
+            np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-6)
+
+    def test_residual_matches_exact_nijenhuis(self):
+        g = get_entry("s6.167").algebra_instance()
+        rng = np.random.default_rng(3)
+        Jq = [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6)))
+               for _ in range(6)] for _ in range(6)]
+        comps = nijenhuis(g, Jq)
+        assert not any(c.im for vec in comps.values() for c in vec)
+        N = [float(comps[(a + 1, b + 1)][i].re)
+             for i in range(6) for a, b in combinations(range(6), 2)]
+        sq = [float(sum(Jq[i][m] * Jq[m][k] for m in range(6)) + (i == k))
+              for i in range(6) for k in range(6)]
+        x = np.array([float(v) for row in Jq for v in row])
+        r, _ = j_residual_kernel()(_j_model(_structure_tensor(g)), x)
+        np.testing.assert_allclose(r, N + sq, rtol=1e-12, atol=1e-12)
 
 
 class TestComplexStructureSearch:
