@@ -16,7 +16,10 @@ Digests, one line each:
   ``perfbench.workloads.search_verdict``) of ``search.find_complex_structure``
   at ``SearchConfig(seed=0)`` on every catalog algebra and negative control.
   Residuals and restart counts are left out: a change to the search's float
-  arithmetic may move a hit to another restart without changing a verdict.
+  arithmetic may move a hit to another restart without changing a verdict;
+* ``lattice``: the full report, float matrix included, of
+  ``lattice.builtin_probe`` on every ``BUILTIN_PROBES`` name and of
+  ``lattice.run_probe`` on a fixed list of ``(algebra, X, t)`` texts.
 
 Each CLI digest also covers the command's exit code.  Run it from any
 directory, at two commits, and compare the lines:
@@ -35,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from hermlie import catalog, cli, herm, obstructions, search  # noqa: E402
+from hermlie import catalog, cli, herm, lattice, obstructions, search  # noqa: E402
 from hermlie.cpx import Complexification  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
@@ -95,6 +98,25 @@ def _search_verdicts() -> list:
             for entry in catalog.list_entries(include_controls=True)]
 
 
+#: Custom probes: each text reads the same under every parser hermlie has used.
+PROBE_TEXTS = [
+    ("s6.154^0", "f6", "pi/2"),
+    ("s6.154^0", "2f1 - f3", "(1+pi)/2"),
+    ("s6.154^0", "pi*f5+f6", "1"),
+    ("s6.147^0", "3/4f2", "pi^2"),
+    ("s6.147^0", "(1/2)f3+2*f6", "2π"),
+    ("s6.152", "f6-((pi-1)/pi)f5", "3/4"),
+]
+
+
+def _lattice() -> list:
+    out = [lattice.builtin_probe(name) for name in sorted(lattice.BUILTIN_PROBES)]
+    for name, x_text, t_text in PROBE_TEXTS:
+        g = catalog.get_entry(name).algebra_instance()
+        out.append(lattice.run_probe(g, x_text, t_text, name=name))
+    return out
+
+
 def main() -> int:
     print(f"verify-catalog {_sha(_json_without_manifest(['verify-catalog']))}")
     print(f"obstruction    {_sha(_obstructions())}")
@@ -102,6 +124,7 @@ def main() -> int:
     print(f"report-table   {_sha([code, csv])}")
     print(f"check_all      {_sha(_check_all())}")
     print(f"search         {_sha(_search_verdicts())}")
+    print(f"lattice        {_sha(_lattice())}")
     return 0
 
 

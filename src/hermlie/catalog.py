@@ -55,7 +55,11 @@ class ExampleStructure:
 
     def j(self) -> list:
         if self.j_matrix is not None:
+            if len(self.j_matrix) != 6 or any(len(row) != 6 for row in self.j_matrix):
+                raise ValueError("j_matrix must be 6x6")
             return [[parse_scalar(str(x), self.params) for x in row] for row in self.j_matrix]
+        if not self.j_images:
+            raise ValueError("need j_images or j_matrix")
         images = {}
         for idx, text in self.j_images.items():
             form = parse_form(text, self.params, degree=1)

@@ -137,7 +137,7 @@ def _examples_from_file(path: str) -> list:
             params = {k: parse_scalar(str(v)) for k, v in (row.get("params") or {}).items()}
             j_images = ({int(k): v for k, v in row["j_images"].items()}
                         if row.get("j_images") else None)
-            out.append(ExampleStructure(
+            ex = ExampleStructure(
                 algebra=row["algebra"],
                 conditions=tuple(row.get("conditions", ())),
                 equations=row["equations"],
@@ -147,8 +147,15 @@ def _examples_from_file(path: str) -> list:
                 j_matrix=row.get("j_matrix"),
                 omega=row.get("omega", ""),
                 mu=row.get("mu"),
-            ))
-        except (KeyError, TypeError, ValueError) as err:
+            )
+            # parse every expression of the row now, so a malformed one exits 2
+            ex.algebra_instance()
+            ex.j()
+            ex.mu_form()
+            if ex.omega:
+                ex.omega_form()
+            out.append(ex)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
             raise _SchemaError(f"bad example row {i}: {err}")
     return out
 
@@ -254,7 +261,8 @@ def cmd_check(args, manifest: RunManifest) -> int:
         )
         g = ex.algebra_instance()
         J = ex.j()
-    except (KeyError, TypeError, ValueError) as err:
+        om_real = ex.omega_form() if ex.omega else None
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         print(f"error: bad input schema: {err}", file=sys.stderr)
         return 2
 
@@ -267,9 +275,8 @@ def cmd_check(args, manifest: RunManifest) -> int:
                  or GaussianRational.coerce(c).im)
         report["note"] = (f"J is not integrable ({nz} nonzero torsion components); "
                           "only J-level checks were run")
-    elif ex.omega:
+    elif om_real is not None:
         cx = Complexification.from_real(g, J)
-        om_real = ex.omega_form()
         positive = is_positive_real(cx, om_real)
         report["omega_positive"] = positive
         if positive:
@@ -398,14 +405,19 @@ def cmd_obstruction(args, manifest: RunManifest) -> int:
 def cmd_lattice_probe(args, manifest: RunManifest) -> int:
     from .lattice import BUILTIN_PROBES, builtin_probe, run_probe
 
-    if args.X and args.t:
+    if (args.X is None) != (args.t is None):
+        raise _SchemaError("give both --X and --t, or neither for a built-in probe")
+    if args.X is not None:
         try:
             g = get_entry(args.algebra).algebra_instance()
         except KeyError as err:
             print(f"error: {err.args[0]}", file=sys.stderr)
             return 2
-        report = run_probe(g, args.X, args.t, tolerance=args.tol,
-                           name=args.algebra)
+        try:
+            report = run_probe(g, args.X, args.t, tolerance=args.tol,
+                               name=args.algebra)
+        except (ValueError, ZeroDivisionError) as err:
+            raise _SchemaError(f"bad probe: {err}") from None
     elif args.algebra in BUILTIN_PROBES:
         report = builtin_probe(args.algebra)
     else:

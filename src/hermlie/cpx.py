@@ -65,6 +65,8 @@ def j_from_images(images: Mapping[int, Sequence], dim: int = 6) -> list:
     """
     cols: dict[int, list] = {}
     for j, img in images.items():
+        if not 1 <= j <= dim:
+            raise ValueError(f"no basis vector f{j} in dimension {dim}")
         cols[j] = [GaussianRational.coerce(x) for x in img]
     for j, img in list(cols.items()):
         support = [k for k, x in enumerate(img) if x]

@@ -289,25 +289,24 @@ def verify_twisted_certificate(cx: Complexification, omega: Form, mu: Form) -> b
     return ce_differential(cx.g, H_real) == mu.wedge(H_real)
 
 
-def check_first_gauduchon(cx_or_frame, omega: Form) -> ConditionReport:
-    frame = cx_or_frame.frame if isinstance(cx_or_frame, Complexification) else cx_or_frame
-    ddbar = frame.project(frame.d(frame.project(frame.d(omega), 1, 2)), 2, 2)
-    top = ddbar.wedge(omega)
-    c = top.coeff(1, 2, 3, 4, 5, 6)
-    return ConditionReport("first_gauduchon", not c,
-                           certificate={"top_coefficient": repr(c)})
-
-
 def first_gauduchon_coefficient(frame: ComplexFrame, omega: Form):
     """Coefficient of a^{1 conj1 2 conj2 3 conj3} in (del dbar omega) ^ omega."""
     ddbar = frame.project(frame.d(frame.project(frame.d(omega), 1, 2)), 2, 2)
     return ddbar.wedge(omega).coeff(1, 4, 2, 5, 3, 6)
 
 
-def check_strongly_gauduchon(cx_or_frame, omega: Form) -> ConditionReport:
+def check_first_gauduchon(cx: Complexification, omega: Form) -> ConditionReport:
+    # the certificate is the coefficient of a^{123 conj1 conj2 conj3}, which is
+    # minus that of a^{1 conj1 2 conj2 3 conj3}
+    c = -first_gauduchon_coefficient(cx.frame, omega)
+    return ConditionReport("first_gauduchon", not c,
+                           certificate={"top_coefficient": repr(c)})
+
+
+def check_strongly_gauduchon(cx: Complexification, omega: Form) -> ConditionReport:
     """del(omega^2) is dbar-exact: solve dbar beta = del omega^2 with beta a
     (3,1)-form."""
-    frame = cx_or_frame.frame if isinstance(cx_or_frame, Complexification) else cx_or_frame
+    frame = cx.frame
     om2 = omega.wedge(omega)
     target = frame.project(frame.d(om2), 3, 2)
     betas = [Form(6, 4, {(1, 2, 3, _bar(k)): GR_ONE}) for k in (1, 2, 3)]
@@ -319,13 +318,13 @@ def check_strongly_gauduchon(cx_or_frame, omega: Form) -> ConditionReport:
     return ConditionReport("strongly_gauduchon", sol is not None, certificate=cert)
 
 
-def check_tamed(cx_or_frame, omega: Form) -> ConditionReport:
+def check_tamed(cx: Complexification, omega: Form) -> ConditionReport:
     """Exists a del-closed (2,0)-form beta with del omega = dbar beta.
 
     Solvability of this system is the obstruction used for taming symplectic
     forms; it is meaningful alongside an SKT metric, noted in the report.
     """
-    frame = cx_or_frame.frame if isinstance(cx_or_frame, Complexification) else cx_or_frame
+    frame = cx.frame
     del_om = frame.project(frame.d(omega), 2, 1)
     betas = [Form(6, 2, {key: GR_ONE}) for key in ((1, 2), (1, 3), (2, 3))]
     # one column per beta: the (2,1) part of d beta must match del omega

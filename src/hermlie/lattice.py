@@ -6,8 +6,9 @@ are a nonzero ``t`` and a rational basis of ``n`` in which the matrix of
 ``exp(t ad_X|_n)`` has integer entries.  This module evaluates that matrix
 (float scaling-and-squaring in general, an exact truncated series when
 ``ad_X`` is nilpotent) and tests integrality to a tolerance.  ``t`` is never
-searched for automatically: it comes from the caller or from a small
-built-in list of candidates.
+searched for automatically: it comes from the caller or from
+:data:`BUILTIN_PROBES`.  ``X`` and ``t`` are read by the structure-equation
+parser of :mod:`hermlie.liealg`, with ``pi`` (or ``π``) as the one name.
 
 The probe is one-sided: an integral matrix certifies the construction
 applies, while a non-integral one for a particular ``(X, t, basis)`` decides
@@ -16,17 +17,15 @@ nothing.  For ``s6.152`` the probe is inconclusive by design.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-import sympy
 from scipy.linalg import expm
 
 from .scalars import GaussianRational
-from .liealg import LieAlgebra, find_nilradical
+from .liealg import LieAlgebra, find_nilradical, parse_form, parse_scalar
 
 __all__ = [
     "LatticeProbe",
@@ -40,48 +39,24 @@ __all__ = [
     "run_probe",
     "builtin_probe",
     "BUILTIN_PROBES",
-    "CANDIDATE_TIMES",
 ]
 
-#: Built-in time candidates tried by the CLI when none is supplied.
-CANDIDATE_TIMES = ("2pi", "pi", "1")
-
-
-def _normalize(text: str) -> str:
-    t = text.replace("π", "pi").replace("^", "**").strip()
-    # insert explicit multiplication: "2pi", ")f5", "pi(", "3f2", ...
-    t = re.sub(r"(\d|\))\s*(pi\b|f\d)", r"\1*\2", t)
-    t = re.sub(r"(pi\b|\))\s*(\(|f\d)", r"\1*\2", t)
-    t = re.sub(r"(f\d)\s*(\()", r"\1*\2", t)
-    return t
+#: The one name lattice expressions may use.  It is bound to the exact value
+#: of the float ``math.pi``, so every expression is real, is reduced exactly
+#: and is rounded to a float once.
+_PI = {"pi": Fraction(math.pi)}
 
 
 def parse_time(text: str) -> float:
-    """Parse a time expression such as ``2pi``, ``pi``, ``1`` or ``3/4``."""
-    expr = sympy.sympify(_normalize(text), {"pi": sympy.pi})
-    if expr.free_symbols:
-        raise ValueError(f"time expression has free symbols: {text!r}")
-    return float(expr.evalf())
+    """Parse a time expression such as ``2pi``, ``π/2``, ``1`` or ``3/4``."""
+    return float(parse_scalar(text.replace("π", "pi"), _PI).re)
 
 
 def parse_vector(text: str, dim: int = 6) -> np.ndarray:
     """Parse a vector like ``f6-((pi-1)/pi)f5`` into float components."""
-    names = [f"f{i}" for i in range(1, dim + 1)]
-    syms = sympy.symbols(names)
-    local = dict(zip(names, syms))
-    local["pi"] = sympy.pi
-    expr = sympy.expand(sympy.sympify(_normalize(text), local))
-    out = np.zeros(dim)
-    rest = expr
-    for i, s in enumerate(syms):
-        c = expr.coeff(s, 1)
-        if c.free_symbols:
-            raise ValueError(f"nonlinear or coupled coefficient in {text!r}")
-        out[i] = float(c.evalf())
-        rest = rest - c * s
-    if sympy.simplify(rest) != 0:
-        raise ValueError(f"not a linear combination of f1..f{dim}: {text!r}")
-    return out
+    form = parse_form(text.replace("π", "pi"), _PI, degree=1, dim=dim)
+    return np.array([float(GaussianRational.coerce(form.coeff(i)).re)
+                     for i in range(1, dim + 1)])
 
 
 @dataclass

@@ -169,7 +169,7 @@ class _Parser:
             if indices is None:
                 # bare scalar entry; only literal 0 is allowed
                 if coeff:
-                    raise ValueError("scalar entry in structure equations must be 0")
+                    raise ValueError(f"a term without a basis symbol must be 0, got {coeff}")
                 first = False
                 continue
             out = out + Form(dim, self.degree, {indices: sign * coeff})
@@ -177,12 +177,18 @@ class _Parser:
             sign = GR_ONE
 
     def parse_term(self):
-        """One product of coefficient factors, optionally ending in f<jk>."""
+        """One product of coefficient factors, side by side or joined by one
+        ``*``, optionally ending in f<jk>."""
         coeff = GR_ONE
         indices = None
         saw_factor = False
         while True:
             kind, val = self.peek()
+            if val == "*" and saw_factor:
+                # explicit product: a factor must follow, so "**" is rejected
+                self.take()
+                saw_factor = False
+                continue
             if kind == "form":
                 self.take()
                 digits = val[1:]

@@ -24,6 +24,7 @@ labeled evidence, not proof.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -103,30 +104,27 @@ class SearchOutcome:
 # generic damped least-squares loop
 # ---------------------------------------------------------------------------
 
-def _lm_minimize(fn, x0: np.ndarray, cfg: SearchConfig, jac=None):
-    """Minimize |fn(x)|^2; returns (x_best, inf_norm_best).
+def _lm_minimize(fn, x0: np.ndarray, cfg: SearchConfig):
+    """Minimize |r(x)|^2 where ``fn(x)`` returns ``(r, jac)``; returns
+    (x_best, inf_norm_best).
 
-    ``jac(x, r)`` returns the Jacobian of ``fn`` at ``x``, where ``r = fn(x)``;
-    without it, forward differences of step ``cfg.fd_eps`` are taken.
+    ``jac`` is the Jacobian of ``r`` at ``x``, or ``None``, in which case
+    forward differences of step ``cfg.fd_eps`` are taken.
     """
-    if jac is None:
-        def jac(x, r):
-            out = np.empty((r.size, x.size))
-            for i in range(x.size):
-                xp = x.copy()
-                xp[i] += cfg.fd_eps
-                out[:, i] = (fn(xp) - r) / cfg.fd_eps
-            return out
-
     x = np.asarray(x0, dtype=float).copy()
-    r = fn(x)
+    r, jx = fn(x)
     cost = float(r @ r)
     lam = cfg.damping
     eye = np.eye(x.size)
     for _ in range(cfg.max_iters):
         if np.max(np.abs(r)) < 0.01 * cfg.tol:
             break
-        jx = jac(x, r)
+        if jx is None:
+            jx = np.empty((r.size, x.size))
+            for i in range(x.size):
+                xp = x.copy()
+                xp[i] += cfg.fd_eps
+                jx[:, i] = (fn(xp)[0] - r) / cfg.fd_eps
         g = jx.T @ r
         a = jx.T @ jx
         improved = False
@@ -137,10 +135,10 @@ def _lm_minimize(fn, x0: np.ndarray, cfg: SearchConfig, jac=None):
                 lam *= 10.0
                 continue
             xn = x + step
-            rn = fn(xn)
+            rn, jn = fn(xn)
             cn = float(rn @ rn)
             if cn < cost:
-                x, r, cost = xn, rn, cn
+                x, r, jx, cost = xn, rn, jn, cn
                 lam = max(lam * 0.3, 1e-13)
                 improved = True
                 break
@@ -258,14 +256,7 @@ def find_complex_structure(g: LieAlgebra, cfg: Optional[SearchConfig] = None) ->
     """Search for an integrable almost complex structure on ``g``."""
     cfg = cfg or SearchConfig()
     model = _j_model(_structure_tensor(g))
-    kernel = j_residual_kernel()
-
-    def fn(x):
-        return kernel(model, x)[0]
-
-    def jac(x, r):
-        return kernel(model, x)[1]
-
+    fn = functools.partial(j_residual_kernel(), model)
     rng = np.random.default_rng(cfg.seed)
     std = np.array(
         [[float(GaussianRational.coerce(v).re) for v in row] for row in standard_j(6)]
@@ -273,7 +264,7 @@ def find_complex_structure(g: LieAlgebra, cfg: Optional[SearchConfig] = None) ->
     best_norms = []
     for t in range(cfg.restarts):
         x0 = std if t == 0 else rng.uniform(-2.0, 2.0, 36)
-        x, nrm = _lm_minimize(fn, x0, cfg, jac)
+        x, nrm = _lm_minimize(fn, x0, cfg)
         best_norms.append(nrm)
         if nrm <= cfg.tol:
             Jq = _exactify_j(g, x)
@@ -544,7 +535,7 @@ def find_metric(g, structure, condition: str, cfg: Optional[SearchConfig] = None
     def fn(raw):
         p = _p_from_raw(raw)
         r = residual(p)
-        return np.concatenate([r, [0.25 * (p[0] + p[1] + p[2] - 3.0)]])
+        return np.concatenate([r, [0.25 * (p[0] + p[1] + p[2] - 3.0)]]), None
 
     rng = np.random.default_rng(cfg.seed)
     best_norms = []

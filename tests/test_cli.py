@@ -2,6 +2,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermlie.cli import main
 
@@ -42,6 +43,22 @@ class TestVerifyCatalog:
         code, _, err = run(capsys, "verify-catalog", str(empty))
         assert code == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("omega", "f1"),
+        ("j_matrix", [["0", "-1"], ["1", "0"]]),
+        ("equations", "(f23, 0, 0, 0, 0)"),
+        ("params", {"p": "1/0"}),
+    ])
+    def test_malformed_row_exit_code(self, dumped_catalog, tmp_path, capsys,
+                                     field, value):
+        data = json.loads(dumped_catalog.read_text())
+        data["examples"][0][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify-catalog", str(bad))
+        assert code == 2
+        assert err.startswith("error: bad example row 0")
+
     def test_json_output(self, dumped_catalog, capsys):
         code, out, _ = run(capsys, "--json", "verify-catalog",
                            str(dumped_catalog))
@@ -75,6 +92,28 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
         assert "bad input schema" in err
+
+
+    @pytest.mark.parametrize("spec", [
+        {"algebra": "s3.3^0+R3", "j_images": {"1": "f2", "3": "f4", "5": "f6"},
+         "omega": "f1"},
+        {"algebra": "s3.3^0+R3", "j_images": {"1": "f2", "3": "f4", "5": "f6"},
+         "omega": "f123"},
+        {"algebra": "s3.3^0+R3", "j_images": {"1": "f2", "3": "f4", "5": "f6"},
+         "omega": "f12+"},
+        {"algebra": "s3.3^0+R3", "j_matrix": [["0", "-1"], ["1", "0"]]},
+        {"algebra": "s3.3^0+R3", "params": {"p": "1/0"},
+         "j_images": {"1": "f2", "3": "f4", "5": "f6"}},
+        {"algebra": "s3.3^0+R3"},
+        {"algebra": "s3.3^0+R3", "j_images": {"9": "f2", "3": "f4", "5": "f6"}},
+    ])
+    def test_malformed_input(self, tmp_path, capsys, spec):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
 
 
 class TestSearch:
@@ -147,6 +186,40 @@ class TestLatticeProbe:
     def test_no_builtin_and_no_args(self, capsys):
         code, _, err = run(capsys, "lattice-probe", "s6.25")
         assert code == 2
+
+    @pytest.mark.parametrize("x,t", [
+        ("f6+1", "1"),
+        ("f7", "1"),
+        ("2**f1", "1"),
+        ("f6", "x"),
+        ("f6", "1/0"),
+        ("f6", "2**2"),
+        ("", "1"),
+        ("f6", None),
+        (None, "1"),
+    ])
+    def test_bad_input(self, capsys, x, t):
+        argv = ["lattice-probe", "s6.154^0"]
+        argv += ["--X", x] if x is not None else []
+        argv += ["--t", t] if t is not None else []
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
+    def test_input_is_not_evaluated(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "lattice-probe", "s6.154^0", "--X",
+                           "__import__('pathlib').Path('MARK').touch()", "--t", "1")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.text("0123456789fpi+-*/() ", max_size=20),
+           st.text("0123456789fpi+-*/() ", max_size=20))
+    def test_any_text_exits_0_or_2(self, x, t):
+        assert main(["--json", "lattice-probe", "s6.154^0", f"--X={x}", f"--t={t}"]) in (0, 2)
 
 
 class TestReportTable:

@@ -40,6 +40,25 @@ class TestParsing:
         v = parse_vector("2f1 - f3")
         assert v[0] == 2 and v[2] == -1 and v[1] == 0
 
+    def test_explicit_products_and_pi_symbol(self):
+        assert list(parse_vector("2*f1")) == [2, 0, 0, 0, 0, 0]
+        assert list(parse_vector("pi*f5")) == [0, 0, 0, 0, math.pi, 0]
+        assert list(parse_vector("πf5")) == list(parse_vector("pi f5"))
+        assert parse_time("π") == math.pi
+        assert parse_time("2*π") == 2 * math.pi
+        assert parse_time("3/4") == 0.75
+
+    @pytest.mark.parametrize("text", ["3**2f1", "2**f1", "f5+1", "f7", "f12", "", "2*",
+                                      "x f1", "__import__('os')"])
+    def test_parse_vector_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_vector(text)
+
+    @pytest.mark.parametrize("text", ["2**2", "pi**2", "f1", "t", "2*"])
+    def test_parse_time_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_time(text)
+
 
 class TestExponentials:
     def test_exact_nilpotent_matches_expm(self):
