@@ -19,7 +19,12 @@ Digests, one line each:
   arithmetic may move a hit to another restart without changing a verdict;
 * ``lattice``: the full report, float matrix included, of
   ``lattice.builtin_probe`` on every ``BUILTIN_PROBES`` name and of
-  ``lattice.run_probe`` on a fixed list of ``(algebra, X, t)`` texts.
+  ``lattice.run_probe`` on a fixed list of ``(algebra, X, t)`` texts;
+* ``metric``: on every catalog algebra's ``search.entry_complexification``
+  and for each of the nine conditions, the raw bytes of the float metric
+  residual at a few seeded coefficient vectors, and the status and
+  per-restart residuals of one short ``search.find_metric``
+  (``METRIC_SEARCH``), which also pins its forward-difference Jacobian.
 
 Each CLI digest also covers the command's exit code.  Run it from any
 directory, at two commits, and compare the lines:
@@ -30,10 +35,13 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -117,6 +125,31 @@ def _lattice() -> list:
     return out
 
 
+#: The short metric search of the ``metric`` line, and its number of seeded
+#: residual evaluations per (algebra, condition).
+METRIC_SEARCH = {"seed": 0, "restarts": 2, "max_iters": 10}
+METRIC_POINTS = 3
+
+
+def _metric() -> list:
+    # ``find_metric`` once took the algebra and the structure separately
+    legacy = next(iter(inspect.signature(search.find_metric).parameters)) == "g"
+    out = []
+    for entry in catalog.list_entries():
+        cx = search.entry_complexification(entry)
+        for cond in sorted(herm.CHECKERS):
+            residual = search._MetricResidual(cx, cond)
+            rng = np.random.default_rng(0)
+            values = [residual(rng.normal(size=9)).tobytes().hex()
+                      for _ in range(METRIC_POINTS)]
+            cfg = search.SearchConfig(**METRIC_SEARCH)
+            found = (search.find_metric(cx.g, cx, cond, cfg) if legacy
+                     else search.find_metric(cx, cond, cfg))
+            out.append([entry.name, cond, values, found.status,
+                        [r.hex() for r in found.best_residuals]])
+    return out
+
+
 def main() -> int:
     print(f"verify-catalog {_sha(_json_without_manifest(['verify-catalog']))}")
     print(f"obstruction    {_sha(_obstructions())}")
@@ -125,6 +158,7 @@ def main() -> int:
     print(f"check_all      {_sha(_check_all())}")
     print(f"search         {_sha(_search_verdicts())}")
     print(f"lattice        {_sha(_lattice())}")
+    print(f"metric         {_sha(_metric())}")
     return 0
 
 

@@ -7,7 +7,8 @@ artifact and catalog versions, wall time).  All output is deterministic for
 a fixed seed and version except the wall-time line.
 
 Exit codes: 0 success / all checks pass; 1 verification mismatch; 2 input,
-IO, or schema error.
+IO, or schema error.  Every input error is raised as ``_SchemaError``, and
+:func:`main` is the one place that prints it and returns 2.
 """
 from __future__ import annotations
 
@@ -113,6 +114,14 @@ def _search_config(args, **defaults):
         raise _SchemaError(str(err)) from None
 
 
+def _entry(name: str):
+    """The catalog entry ``name``; an unknown name is an input error."""
+    try:
+        return get_entry(name)
+    except KeyError as err:
+        raise _SchemaError(err.args[0]) from None
+
+
 # ---------------------------------------------------------------------------
 # verify-catalog
 # ---------------------------------------------------------------------------
@@ -154,6 +163,9 @@ def _examples_from_file(path: str) -> list:
             ex.mu_form()
             if ex.omega:
                 ex.omega_form()
+            for cond in ex.conditions:
+                if cond not in CHECKERS:
+                    raise ValueError(f"unknown condition {cond!r}")
             out.append(ex)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
             raise _SchemaError(f"bad example row {i}: {err}")
@@ -188,8 +200,11 @@ def cmd_verify_catalog(args, manifest: RunManifest) -> int:
             }
             for ex in _stock_examples()
         ]}
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        try:
+            with open(args.dump, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+        except OSError as err:
+            raise _SchemaError(f"cannot write catalog file: {err}") from None
         print(manifest.header())
         print(f"wrote {len(payload['examples'])} example rows to {args.dump}")
         return 0
@@ -239,8 +254,7 @@ def cmd_check(args, manifest: RunManifest) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        print(f"error: cannot read input file: {err}", file=sys.stderr)
-        return 2
+        raise _SchemaError(f"cannot read input file: {err}") from None
     try:
         if "algebra" in data:
             entry = get_entry(data["algebra"])
@@ -263,8 +277,7 @@ def cmd_check(args, manifest: RunManifest) -> int:
         J = ex.j()
         om_real = ex.omega_form() if ex.omega else None
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
-        print(f"error: bad input schema: {err}", file=sys.stderr)
-        return 2
+        raise _SchemaError(f"bad input schema: {err}") from None
 
     report = {"algebra": ex.algebra, "J_squares_to_minus_id": squares_to_minus_id(J)}
     integrable = is_integrable(g, J)
@@ -314,11 +327,7 @@ def cmd_check(args, manifest: RunManifest) -> int:
 def cmd_search(args, manifest: RunManifest) -> int:
     from .search import find_complex_structure, find_metric, entry_complexification
 
-    try:
-        entry = get_entry(args.algebra)
-    except KeyError as err:
-        print(f"error: {err.args[0]}", file=sys.stderr)
-        return 2
+    entry = _entry(args.algebra)
     cfg = _search_config(args)
     if args.condition in (None, "complex"):
         outcome = find_complex_structure(entry.algebra_instance(), cfg)
@@ -332,11 +341,9 @@ def cmd_search(args, manifest: RunManifest) -> int:
         }
     else:
         if args.condition not in CHECKERS:
-            print(f"error: unknown condition {args.condition!r}; choose from "
-                  f"{sorted(CHECKERS)}", file=sys.stderr)
-            return 2
-        cx = entry_complexification(entry)
-        outcome = find_metric(cx.g, cx, args.condition, cfg)
+            raise _SchemaError(f"unknown condition {args.condition!r}; choose from "
+                               f"{sorted(CHECKERS)}")
+        outcome = find_metric(entry_complexification(entry), args.condition, cfg)
         witness = outcome.witness or {}
         summary = {
             "target": args.condition,
@@ -372,6 +379,10 @@ def cmd_search(args, manifest: RunManifest) -> int:
 def cmd_obstruction(args, manifest: RunManifest) -> int:
     from .obstructions import obstruction_table, replay_obstruction_row
 
+    _entry(args.algebra)
+    if args.condition not in CHECKERS and args.condition != "complex":
+        raise _SchemaError(f"unknown condition {args.condition!r}; choose from "
+                           f"{sorted(CHECKERS) + ['complex']}")
     rows = obstruction_table(algebra=args.algebra, condition=args.condition)
     if not rows:
         print(manifest.header())
@@ -407,12 +418,10 @@ def cmd_lattice_probe(args, manifest: RunManifest) -> int:
 
     if (args.X is None) != (args.t is None):
         raise _SchemaError("give both --X and --t, or neither for a built-in probe")
+    if not 0 < args.tol < float("inf"):  # also rejects NaN
+        raise _SchemaError("tolerance must be positive and finite")
     if args.X is not None:
-        try:
-            g = get_entry(args.algebra).algebra_instance()
-        except KeyError as err:
-            print(f"error: {err.args[0]}", file=sys.stderr)
-            return 2
+        g = _entry(args.algebra).algebra_instance()
         try:
             report = run_probe(g, args.X, args.t, tolerance=args.tol,
                                name=args.algebra)
@@ -421,9 +430,7 @@ def cmd_lattice_probe(args, manifest: RunManifest) -> int:
     elif args.algebra in BUILTIN_PROBES:
         report = builtin_probe(args.algebra)
     else:
-        print("error: no built-in probe for this algebra; supply --X and --t",
-              file=sys.stderr)
-        return 2
+        raise _SchemaError("no built-in probe for this algebra; supply --X and --t")
     if args.json:
         _emit_json(_jsonable(report), manifest)
     else:
@@ -513,7 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("check", help="check a structure supplied in a JSON file")
     q.add_argument("file")
 
-    q = sub.add_parser("search", help="randomized search on one algebra")
+    q = sub.add_parser(
+        "search", help="randomized search on one algebra",
+        description="Status: found (the witness was re-checked exactly), "
+                    "float-only (a float hit that no rational reconstruction "
+                    "passed; complex structures only) or exhausted (evidence, "
+                    "not proof).")
     q.add_argument("algebra")
     q.add_argument("--condition", default=None,
                    help="metric condition; omit for the complex-structure search")

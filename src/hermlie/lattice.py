@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .scalars import GaussianRational
 from .liealg import LieAlgebra, find_nilradical, parse_form, parse_scalar
@@ -105,6 +104,8 @@ def ad_restricted(g: LieAlgebra, X: Sequence[float], basis) -> np.ndarray:
 
 def exp_ad(g: LieAlgebra, probe: LatticeProbe) -> np.ndarray:
     """``exp(t ad_X)`` on the probe basis (float scaling-and-squaring)."""
+    from scipy.linalg import expm  # imported here: the probe is its only user
+
     A = ad_restricted(g, probe.X, probe.basis)
     return expm(probe.t * A)
 

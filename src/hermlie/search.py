@@ -7,14 +7,18 @@ Two searches are provided, both built on one damped Gauss-Newton
   36 entries of an endomorphism ``J``.  The residual is a constant plus a
   quadratic form in ``J``, built once per algebra from its nonzero structure
   constants, so the loop uses its exact Jacobian.  A hit below tolerance is
-  followed by rational reconstruction and an exact integrability recheck.
+  followed by rational reconstruction and an exact integrability recheck: it
+  is reported "found" when the reconstructed ``J`` passes, and "float-only"
+  (with the float ``J`` as witness) when no reconstruction does.
 * :func:`find_metric` searches the metric coefficients ``(lambda, w)`` of a
-  Hermitian structure for a fixed integrable ``J``, with a forward-difference
-  Jacobian; positivity is enforced by parameterizing the coefficient matrix
-  through a Cholesky factor with exponential diagonal.  Linear
-  sub-certificates (twisting one-forms ``mu``, potential forms ``beta``) are
-  fitted by least squares at every iterate, and a float hit is only reported
-  "found" after the exact checker accepts a rationally reconstructed witness.
+  Hermitian structure on a fixed :class:`~hermlie.cpx.Complexification`, with
+  a forward-difference Jacobian; positivity is enforced by parameterizing the
+  coefficient matrix through a Cholesky factor with exponential diagonal.
+  Each condition's residual is a precomputed linear or quadratic tensor in
+  the coefficients.  Linear sub-certificates (twisting one-forms ``mu``,
+  potential forms ``beta``) are fitted by least squares at every iterate, and
+  a float hit is only reported "found" after the exact checker accepts a
+  rationally reconstructed witness; a hit the exact gate rejects is dropped.
 
 :func:`classification_sweep` combines exact example verification, exact
 obstruction replay, and search exhaustion into the existence grid.  Searches
@@ -38,7 +42,6 @@ from .forms import Form
 from .liealg import LieAlgebra
 from .cpx import (
     Complexification,
-    instantiate_family,
     nijenhuis,
     squares_to_minus_id,
     standard_j,
@@ -77,9 +80,6 @@ class SearchConfig:
     restarts: int = 40
     max_iters: int = 60
     tol: float = 1e-10
-    verify_tol: float = 1e-8
-    damping: float = 1e-3
-    fd_eps: float = 1e-7
 
     def __post_init__(self):
         if not 0 < self.tol < float("inf"):  # also rejects NaN
@@ -94,7 +94,7 @@ class SearchConfig:
 class SearchOutcome:
     """Result of one search: status, witness (if any), per-restart residuals."""
 
-    status: str  # "found" | "exhausted"
+    status: str  # "found" | "float-only" | "exhausted"
     witness: Optional[dict]
     best_residuals: tuple
     note: str = ""
@@ -104,17 +104,21 @@ class SearchOutcome:
 # generic damped least-squares loop
 # ---------------------------------------------------------------------------
 
+_DAMPING = 1e-3  # initial Levenberg-Marquardt damping
+_FD_EPS = 1e-7   # forward-difference step when ``fn`` returns no Jacobian
+
+
 def _lm_minimize(fn, x0: np.ndarray, cfg: SearchConfig):
     """Minimize |r(x)|^2 where ``fn(x)`` returns ``(r, jac)``; returns
     (x_best, inf_norm_best).
 
     ``jac`` is the Jacobian of ``r`` at ``x``, or ``None``, in which case
-    forward differences of step ``cfg.fd_eps`` are taken.
+    forward differences of step ``_FD_EPS`` are taken.
     """
     x = np.asarray(x0, dtype=float).copy()
     r, jx = fn(x)
     cost = float(r @ r)
-    lam = cfg.damping
+    lam = _DAMPING
     eye = np.eye(x.size)
     for _ in range(cfg.max_iters):
         if np.max(np.abs(r)) < 0.01 * cfg.tol:
@@ -123,8 +127,8 @@ def _lm_minimize(fn, x0: np.ndarray, cfg: SearchConfig):
             jx = np.empty((r.size, x.size))
             for i in range(x.size):
                 xp = x.copy()
-                xp[i] += cfg.fd_eps
-                jx[:, i] = (fn(xp)[0] - r) / cfg.fd_eps
+                xp[i] += _FD_EPS
+                jx[:, i] = (fn(xp)[0] - r) / _FD_EPS
         g = jx.T @ r
         a = jx.T @ jx
         improved = False
@@ -269,12 +273,13 @@ def find_complex_structure(g: LieAlgebra, cfg: Optional[SearchConfig] = None) ->
         if nrm <= cfg.tol:
             Jq = _exactify_j(g, x)
             witness = {"J_float": x.reshape(6, 6).tolist(), "J_exact": Jq}
-            note = (
-                "rational reconstruction verified exactly"
-                if Jq is not None
-                else "float witness below tolerance; rational reconstruction failed"
-            )
-            return SearchOutcome("found", witness, tuple(best_norms), note)
+            if Jq is None:
+                return SearchOutcome(
+                    "float-only", witness, tuple(best_norms),
+                    "float witness below tolerance; rational reconstruction failed",
+                )
+            return SearchOutcome("found", witness, tuple(best_norms),
+                                 "rational reconstruction verified exactly")
     return SearchOutcome(
         "exhausted",
         None,
@@ -324,10 +329,19 @@ def _i_times(form: Form) -> Form:
     return form.map_coefficients(lambda c: _cnum(c) * 1j)
 
 
-def _projection_off(cols: np.ndarray) -> np.ndarray:
-    if cols.size == 0:
-        return np.eye(cols.shape[0])
-    return np.eye(cols.shape[0]) - cols @ np.linalg.pinv(cols)
+def _linear(op, forms, slots) -> np.ndarray:
+    """``(slots, 9)`` tensor whose column ``s`` is ``op(forms[s])``."""
+    return np.stack([_vec(op(f), slots) for f in forms], axis=1)
+
+
+def _quadratic(op, left, right, slots) -> np.ndarray:
+    """``(slots, 9, 9)`` tensor whose entry ``[:, s, t]`` is ``op(left[s], right[t])``."""
+    return np.stack([_linear(functools.partial(op, a), right, slots) for a in left], axis=1)
+
+
+def _quadratic_value(T: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``T[z, s, t] p_s p_t``; ``np.matmul`` is the linear counterpart."""
+    return np.einsum("zst,s,t->z", T, p, p)
 
 
 class _MetricResidual:
@@ -336,9 +350,9 @@ class _MetricResidual:
     The metric 2-form is linear in nine real coefficients ``p``; every
     condition residual is a linear or quadratic tensor in ``p``, precomputed
     once with the exact frame operators and then evaluated in floats.
-    Conditions with a free certificate (mu or beta) fit it per iterate: a
-    real least-squares fit for closed real one-forms mu, a complex one (or a
-    fixed orthogonal projection) for potential forms beta.
+    Conditions with a free certificate fit it per iterate: a real
+    least-squares fit over the tensors ``mu`` of the closed real one-forms,
+    or a fixed orthogonal projection off the potential forms ``beta``.
     """
 
     def __init__(self, cx: Complexification, condition: str):
@@ -347,114 +361,54 @@ class _MetricResidual:
         frame = cx.frame
         basis = _metric_basis_forms()
         d3, d4, d5 = _slots(3), _slots(4), _slots(5)
-        top = (1, 2, 3, 4, 5, 6)
-        self._lin = None       # (slots, 9) complex: residual = A p
-        self._quad = None      # (slots, 9, 9): residual = T[z,s,t] p_s p_t
-        self._proj = None      # applied after _lin/_quad
-        self._mu_cols = None   # list of (slots, 9): candidate mu wedge columns
-        self._mu_quads = None  # list of (slots, 9, 9): the same for quadratic residuals
-
+        mus = ([cx.to_alpha(m) for m in closed_one_forms(cx)]
+               if condition in ("lck", "lcb", "lcskt") else [])
+        beta = None  # columns dbar(beta); the residual is projected off their span
+        self._mu = []
         if condition == "kahler":
-            self._lin = np.stack([_vec(frame.d(b), d3) for b in basis], axis=1)
+            self._T = _linear(frame.d, basis, d3)
         elif condition == "skt":
-            self._lin = np.stack(
-                [_vec(frame.del_(frame.dbar(b)), d4) for b in basis], axis=1
-            )
+            self._T = _linear(lambda b: frame.del_(frame.dbar(b)), basis, d4)
         elif condition == "tamed":
-            self._lin = np.stack([_vec(frame.del_(b), d3) for b in basis], axis=1)
-            beta = [Form(6, 2, {(a, b): 1.0}) for a, b in ((1, 2), (1, 3), (2, 3))]
-            cols = np.stack([_vec(frame.dbar(b), d3) for b in beta], axis=1)
-            self._proj = _projection_off(cols)
-        elif condition == "balanced":
-            self._quad = np.stack(
-                [
-                    np.stack([_vec(frame.d(bs.wedge(bt)), d5) for bt in basis], axis=1)
-                    for bs in basis
-                ],
-                axis=1,
-            )
+            self._T = _linear(frame.del_, basis, d3)
+            beta = _linear(frame.dbar, [Form(6, 2, {(a, b): 1.0})
+                                        for a, b in ((1, 2), (1, 3), (2, 3))], d3)
+        elif condition in ("balanced", "lcb"):
+            self._T = _quadratic(lambda a, b: frame.d(a.wedge(b)), basis, basis, d5)
+            self._mu = [_quadratic(lambda a, b: m.wedge(a.wedge(b)), basis, basis, d5)
+                        for m in mus]
         elif condition == "strongly_gauduchon":
-            self._quad = np.stack(
-                [
-                    np.stack(
-                        [_vec(frame.del_(bs.wedge(bt)), d5) for bt in basis], axis=1
-                    )
-                    for bs in basis
-                ],
-                axis=1,
-            )
-            beta = [Form(6, 4, {(1, 2, 3, _bar(k)): 1.0}) for k in (1, 2, 3)]
-            cols = np.stack([_vec(frame.dbar(b), d5) for b in beta], axis=1)
-            self._proj = _projection_off(cols)
+            self._T = _quadratic(lambda a, b: frame.del_(a.wedge(b)), basis, basis, d5)
+            beta = _linear(frame.dbar, [Form(6, 4, {(1, 2, 3, _bar(k)): 1.0})
+                                        for k in (1, 2, 3)], d5)
         elif condition == "first_gauduchon":
-            T = np.empty((1, 9, 9), dtype=complex)
-            for s, bs in enumerate(basis):
-                lead = frame.del_(frame.dbar(bs))
-                for t, bt in enumerate(basis):
-                    T[0, s, t] = _cnum(lead.wedge(bt).coeffs.get(top, 0))
-            self._quad = T
-        elif condition in ("lck", "lcb", "lcskt"):
-            mus = [cx.to_alpha(m) for m in closed_one_forms(cx)]
-            if condition == "lck":
-                self._lin = np.stack([_vec(frame.d(b), d3) for b in basis], axis=1)
-                self._mu_cols = [
-                    np.stack([_vec(m.wedge(b), d3) for b in basis], axis=1) for m in mus
-                ]
-            elif condition == "lcb":
-                self._quad = np.stack(
-                    [
-                        np.stack(
-                            [_vec(frame.d(bs.wedge(bt)), d5) for bt in basis], axis=1
-                        )
-                        for bs in basis
-                    ],
-                    axis=1,
-                )
-                self._mu_quads = [
-                    np.stack(
-                        [
-                            np.stack(
-                                [_vec(m.wedge(bs.wedge(bt)), d5) for bt in basis],
-                                axis=1,
-                            )
-                            for bs in basis
-                        ],
-                        axis=1,
-                    )
-                    for m in mus
-                ]
-            else:  # lcskt: H = i(dbar - del)(omega), need dH = mu ^ H
-                torsions = [_i_times(frame.dbar(b) - frame.del_(b)) for b in basis]
-                self._lin = np.stack([_vec(frame.d(h), d4) for h in torsions], axis=1)
-                self._mu_cols = [
-                    np.stack([_vec(m.wedge(h), d4) for h in torsions], axis=1)
-                    for m in mus
-                ]
-        else:
-            raise ValueError(f"unknown condition: {condition!r}")
+            leads = [frame.del_(frame.dbar(b)) for b in basis]
+            self._T = _quadratic(Form.wedge, leads, basis, [(1, 2, 3, 4, 5, 6)])
+        elif condition == "lck":
+            self._T = _linear(frame.d, basis, d3)
+            self._mu = [_linear(m.wedge, basis, d3) for m in mus]
+        else:  # lcskt: H = i(dbar - del)(omega), need dH = mu ^ H
+            torsions = [_i_times(frame.dbar(b) - frame.del_(b)) for b in basis]
+            self._T = _linear(frame.d, torsions, d4)
+            self._mu = [_linear(m.wedge, torsions, d4) for m in mus]
+        self._proj = (None if beta is None
+                      else np.eye(beta.shape[0]) - beta @ np.linalg.pinv(beta))
+        # one evaluator for the main tensor and the mu tensors, of one degree
+        self._value = np.matmul if self._T.ndim == 2 else _quadratic_value
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
-        if self._lin is not None:
-            target = self._lin @ p
-            if self._mu_cols is not None:
-                target = self._fit_mu(target, [cols @ p for cols in self._mu_cols])
-        else:
-            target = np.einsum("zst,s,t->z", self._quad, p, p)
-            if self._mu_quads is not None:
-                target = self._fit_mu(
-                    target, [np.einsum("zst,s,t->z", q, p, p) for q in self._mu_quads]
-                )
+        value = self._value
+        target = value(self._T, p)
+        if self._mu:
+            target = self._fit_mu(target, [value(m, p) for m in self._mu])
         if self._proj is not None:
             target = self._proj @ target
         return np.concatenate([target.real, target.imag])
 
     @staticmethod
     def _fit_mu(target: np.ndarray, cols) -> np.ndarray:
-        if not cols:
-            return target
-        A = np.stack(
-            [np.concatenate([c.real, c.imag]) for c in cols], axis=1
-        )
+        A = np.stack(cols, axis=1)
+        A = np.concatenate([A.real, A.imag])
         b = np.concatenate([target.real, target.imag])
         sol, *_ = np.linalg.lstsq(A, b, rcond=None)
         resid = b - A @ sol
@@ -508,28 +462,10 @@ def _exactify_metric(cx: Complexification, condition: str, raw: np.ndarray):
     return None
 
 
-def _resolve_complexification(g, structure) -> Complexification:
-    if isinstance(structure, Complexification):
-        return structure
-    if isinstance(structure, str):
-        return instantiate_family(structure, {}).complexification()
-    if (
-        isinstance(structure, tuple)
-        and len(structure) == 2
-        and isinstance(structure[0], str)
-    ):
-        return instantiate_family(structure[0], dict(structure[1])).complexification()
-    return Complexification.from_real(g, structure)
-
-
-def find_metric(g, structure, condition: str, cfg: Optional[SearchConfig] = None) -> SearchOutcome:
-    """Search Hermitian metrics on a fixed complex structure for a condition.
-
-    ``structure`` may be a :class:`Complexification`, a real ``J`` matrix for
-    ``g``, a family identifier, or a ``(family_id, params)`` pair.
-    """
+def find_metric(cx: Complexification, condition: str,
+                cfg: Optional[SearchConfig] = None) -> SearchOutcome:
+    """Search Hermitian metrics on the complex structure ``cx`` for a condition."""
     cfg = cfg or SearchConfig()
-    cx = _resolve_complexification(g, structure)
     residual = _MetricResidual(cx, condition)
 
     def fn(raw):
@@ -680,7 +616,7 @@ def classification_sweep(conditions: Optional[Sequence[str]] = None,
             else:
                 if cx is None:
                     cx = entry_complexification(entry)
-                outcome = find_metric(cx.g, cx, cond, cfg)
+                outcome = find_metric(cx, cond, cfg)
                 if outcome.status == "found":
                     cell = {"status": "mismatch",
                             "detail": "search found a witness where none is claimed"}

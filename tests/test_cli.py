@@ -43,11 +43,18 @@ class TestVerifyCatalog:
         code, _, err = run(capsys, "verify-catalog", str(empty))
         assert code == 2
 
+    def test_unwritable_dump_exit_code(self, tmp_path, capsys):
+        code, out, err = run(capsys, "verify-catalog", "--dump",
+                             str(tmp_path / "missing" / "out.json"))
+        assert code == 2
+        assert err.startswith("error: cannot write catalog file") and out == ""
+
     @pytest.mark.parametrize("field,value", [
         ("omega", "f1"),
         ("j_matrix", [["0", "-1"], ["1", "0"]]),
         ("equations", "(f23, 0, 0, 0, 0)"),
         ("params", {"p": "1/0"}),
+        ("conditions", ["frobnicated"]),
     ])
     def test_malformed_row_exit_code(self, dumped_catalog, tmp_path, capsys,
                                      field, value):
@@ -132,6 +139,13 @@ class TestSearch:
         payload = json.loads(out)
         assert payload["status"] == "found"
 
+    def test_float_only_json(self, capsys):
+        code, out, _ = run(capsys, "--seed", "0", "--json", "search", "s6.25")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "float-only"
+        assert payload["exact_J"] is None
+
     def test_unknown_condition(self, capsys):
         code, _, err = run(capsys, "search", "s6.25",
                            "--condition", "frobnicated")
@@ -168,6 +182,16 @@ class TestObstruction:
         code, out, _ = run(capsys, "obstruction", "s6.25", "balanced")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("obstruction", "nope", "kahler"),
+        ("obstruction", "s6.145^0", "frobnicated"),
+    ])
+    def test_unknown_input(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
 
 class TestLatticeProbe:
     def test_builtin(self, capsys):
@@ -203,6 +227,19 @@ class TestLatticeProbe:
         argv += ["--X", x] if x is not None else []
         argv += ["--t", t] if t is not None else []
         code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("s6.154^0", "--tol", "nan"),
+        ("s6.154^0", "--tol", "-1"),
+        ("s6.154^0", "--tol", "0"),
+        ("s6.154^0", "--tol", "inf"),
+        ("nope",),
+    ])
+    def test_bad_options(self, capsys, argv):
+        code, out, err = run(capsys, "lattice-probe", *argv, "--X", "f6", "--t", "2pi")
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
         assert out == ""

@@ -8,11 +8,12 @@ import pytest
 from hermlie import Complexification
 from hermlie.catalog import get_entry, list_entries
 from hermlie.cpx import is_integrable, nijenhuis, squares_to_minus_id
-from hermlie.herm import CHECKERS, fundamental_form, is_positive
+from hermlie.herm import CHECKERS, fundamental_form, is_positive, metric_from_alpha_form
 from hermlie.liealg import parse_structure_equations
+from hermlie.scalars import GaussianRational
 from hermlie.search import (
     SearchConfig,
-    SearchOutcome,
+    _MetricResidual,
     _j_model,
     _structure_tensor,
     classification_sweep,
@@ -99,6 +100,15 @@ class TestComplexStructureSearch:
         assert out.status == "found"
         assert is_integrable(g, out.witness["J_exact"])
 
+    def test_unreconstructed_hit_is_float_only(self):
+        g = get_entry("s6.25").algebra_instance()
+        out = find_complex_structure(g, SearchConfig(seed=0, restarts=5))
+        assert out.status == "float-only"
+        assert out.witness["J_exact"] is None
+        x = np.array(out.witness["J_float"]).reshape(-1)
+        r, _ = j_residual_kernel()(_j_model(_structure_tensor(g)), x)
+        assert np.abs(r).max() <= 1e-10
+
     def test_deterministic_for_fixed_seed(self):
         g = get_entry("s6.140^-1").algebra_instance()
         cfg = SearchConfig(seed=1, restarts=4, max_iters=25)
@@ -114,25 +124,41 @@ class TestComplexStructureSearch:
         assert min(out.best_residuals) > 1e-3
 
 
+GOLDEN_METRICS = [(f"{entry.name}#{k}", ex) for entry in list_entries()
+                  for k, ex in enumerate(entry.examples) if ex.omega]
+
+
+class TestMetricResidual:
+    @pytest.mark.parametrize("ex", [ex for _, ex in GOLDEN_METRICS],
+                             ids=[name for name, _ in GOLDEN_METRICS])
+    def test_vanishes_where_the_exact_checker_holds(self, ex):
+        cx = Complexification.from_real(ex.algebra_instance(), ex.j())
+        omega = cx.to_alpha(ex.omega_form())
+        metric = metric_from_alpha_form(omega)
+        # p = (l1, l2, l3, Re w1, Im w1, Re w2, Im w2, Re w3, Im w3)
+        p = np.array([float(GaussianRational.coerce(c).re) for c in metric.lams]
+                     + [float(part) for w in metric.ws
+                        for part in (GaussianRational.coerce(w).re,
+                                     GaussianRational.coerce(w).im)])
+        holding = {cond for cond, check in CHECKERS.items() if check(cx, omega).holds}
+        assert set(ex.conditions) <= holding
+        for cond in holding:
+            assert np.abs(_MetricResidual(cx, cond)(p)).max() < 1e-9, cond
+
+
 class TestMetricSearch:
     def test_balanced_witness_verified_exactly(self):
         cx = entry_complexification(get_entry("s5.16+R"))
-        out = find_metric(cx.g, cx, "balanced", SearchConfig(restarts=4))
+        out = find_metric(cx, "balanced", SearchConfig(restarts=4))
         assert out.status == "found"
         metric = out.witness["metric"]
         assert is_positive(metric)
         omega = fundamental_form(metric)
         assert CHECKERS["balanced"](cx, omega).holds
 
-    def test_family_id_route(self):
-        out = find_metric(None, "HT-s6.162^1", "balanced",
-                          SearchConfig(restarts=4))
-        assert isinstance(out, SearchOutcome)
-
     def test_obstructed_condition_exhausts(self):
         cx = entry_complexification(get_entry("s6.145^0"))
-        out = find_metric(cx.g, cx, "first_gauduchon",
-                          SearchConfig(restarts=3, max_iters=30))
+        out = find_metric(cx, "first_gauduchon", SearchConfig(restarts=3, max_iters=30))
         # the exact first-Gauduchon coefficient is -2 l1^2 < 0 for any
         # positive metric, so no float hit may survive the exact gate
         assert out.status == "exhausted"
@@ -140,7 +166,7 @@ class TestMetricSearch:
     def test_kahler_algebra_admits_everything(self):
         cx = entry_complexification(get_entry("s3.3^0+R3"))
         for cond in ("kahler", "skt", "balanced", "lck"):
-            out = find_metric(cx.g, cx, cond, SearchConfig(restarts=3))
+            out = find_metric(cx, cond, SearchConfig(restarts=3))
             assert out.status == "found", cond
             assert CHECKERS[cond](cx, out.witness["omega"]).holds
 
