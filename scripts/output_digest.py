@@ -20,11 +20,13 @@ Digests, one line each:
 * ``lattice``: the full report, float matrix included, of
   ``lattice.builtin_probe`` on every ``BUILTIN_PROBES`` name and of
   ``lattice.run_probe`` on a fixed list of ``(algebra, X, t)`` texts;
-* ``metric``: on every catalog algebra's ``search.entry_complexification``
+* ``residual``: on every catalog algebra's ``search.entry_complexification``
   and for each of the nine conditions, the raw bytes of the float metric
-  residual at a few seeded coefficient vectors, and the status and
+  residual ``search._MetricResidual`` at a few seeded coefficient vectors;
+* ``metric``: on the same structures and conditions, the status and
   per-restart residuals of one short ``search.find_metric``
-  (``METRIC_SEARCH``), which also pins its forward-difference Jacobian.
+  (``METRIC_SEARCH``).  Unlike ``search``, it pins the search's float
+  arithmetic, Jacobian included, so a change to that arithmetic changes it.
 
 Each CLI digest also covers the command's exit code.  Run it from any
 directory, at two commits, and compare the lines:
@@ -125,10 +127,22 @@ def _lattice() -> list:
     return out
 
 
-#: The short metric search of the ``metric`` line, and its number of seeded
-#: residual evaluations per (algebra, condition).
+#: The short metric search of the ``metric`` line, and the number of seeded
+#: residual evaluations per (algebra, condition) of the ``residual`` line.
 METRIC_SEARCH = {"seed": 0, "restarts": 2, "max_iters": 10}
 METRIC_POINTS = 3
+
+
+def _residual() -> list:
+    out = []
+    for entry in catalog.list_entries():
+        cx = search.entry_complexification(entry)
+        for cond in sorted(herm.CHECKERS):
+            residual = search._MetricResidual(cx, cond)
+            rng = np.random.default_rng(0)
+            out.append([entry.name, cond, [residual(rng.normal(size=9)).tobytes().hex()
+                                           for _ in range(METRIC_POINTS)]])
+    return out
 
 
 def _metric() -> list:
@@ -138,14 +152,10 @@ def _metric() -> list:
     for entry in catalog.list_entries():
         cx = search.entry_complexification(entry)
         for cond in sorted(herm.CHECKERS):
-            residual = search._MetricResidual(cx, cond)
-            rng = np.random.default_rng(0)
-            values = [residual(rng.normal(size=9)).tobytes().hex()
-                      for _ in range(METRIC_POINTS)]
             cfg = search.SearchConfig(**METRIC_SEARCH)
             found = (search.find_metric(cx.g, cx, cond, cfg) if legacy
                      else search.find_metric(cx, cond, cfg))
-            out.append([entry.name, cond, values, found.status,
+            out.append([entry.name, cond, found.status,
                         [r.hex() for r in found.best_residuals]])
     return out
 
@@ -158,6 +168,7 @@ def main() -> int:
     print(f"check_all      {_sha(_check_all())}")
     print(f"search         {_sha(_search_verdicts())}")
     print(f"lattice        {_sha(_lattice())}")
+    print(f"residual       {_sha(_residual())}")
     print(f"metric         {_sha(_metric())}")
     return 0
 

@@ -11,13 +11,14 @@ Two searches are provided, both built on one damped Gauss-Newton
   is reported "found" when the reconstructed ``J`` passes, and "float-only"
   (with the float ``J`` as witness) when no reconstruction does.
 * :func:`find_metric` searches the metric coefficients ``(lambda, w)`` of a
-  Hermitian structure on a fixed :class:`~hermlie.cpx.Complexification`, with
-  a forward-difference Jacobian; positivity is enforced by parameterizing the
-  coefficient matrix through a Cholesky factor with exponential diagonal.
-  Each condition's residual is a precomputed linear or quadratic tensor in
-  the coefficients.  Linear sub-certificates (twisting one-forms ``mu``,
-  potential forms ``beta``) are fitted by least squares at every iterate, and
-  a float hit is only reported "found" after the exact checker accepts a
+  Hermitian structure on a fixed :class:`~hermlie.cpx.Complexification`;
+  positivity is enforced by parameterizing the coefficient matrix through a
+  Cholesky factor with exponential diagonal.  Each condition's residual is a
+  precomputed linear or quadratic tensor in the coefficients.  Linear
+  sub-certificates (twisting one-forms ``mu``, potential forms ``beta``) are
+  fitted by least squares at every iterate.  The loop uses the exact Jacobian
+  of the whole map, the ``mu`` fit differentiated by variable projection.  A
+  float hit is only reported "found" after the exact checker accepts a
   rationally reconstructed witness; a hit the exact gate rejects is dropped.
 
 :func:`classification_sweep` combines exact example verification, exact
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,15 +107,14 @@ class SearchOutcome:
 # ---------------------------------------------------------------------------
 
 _DAMPING = 1e-3  # initial Levenberg-Marquardt damping
-_FD_EPS = 1e-7   # forward-difference step when ``fn`` returns no Jacobian
 
 
 def _lm_minimize(fn, x0: np.ndarray, cfg: SearchConfig):
-    """Minimize |r(x)|^2 where ``fn(x)`` returns ``(r, jac)``; returns
-    (x_best, inf_norm_best).
+    """Minimize |r(x)|^2 where ``fn(x)`` returns ``(r, jac)``, ``jac`` the exact
+    Jacobian of ``r`` at ``x``; returns (x_best, inf_norm_best).
 
-    ``jac`` is the Jacobian of ``r`` at ``x``, or ``None``, in which case
-    forward differences of step ``_FD_EPS`` are taken.
+    Both searches pass exact Jacobians, so each iteration costs one ``fn``
+    call per trial step and no extra calls to build the Jacobian.
     """
     x = np.asarray(x0, dtype=float).copy()
     r, jx = fn(x)
@@ -123,12 +124,6 @@ def _lm_minimize(fn, x0: np.ndarray, cfg: SearchConfig):
     for _ in range(cfg.max_iters):
         if np.max(np.abs(r)) < 0.01 * cfg.tol:
             break
-        if jx is None:
-            jx = np.empty((r.size, x.size))
-            for i in range(x.size):
-                xp = x.copy()
-                xp[i] += _FD_EPS
-                jx[:, i] = (fn(xp)[0] - r) / _FD_EPS
         g = jx.T @ r
         a = jx.T @ jx
         improved = False
@@ -393,27 +388,61 @@ class _MetricResidual:
             self._mu = [_linear(m.wedge, torsions, d4) for m in mus]
         self._proj = (None if beta is None
                       else np.eye(beta.shape[0]) - beta @ np.linalg.pinv(beta))
-        # one evaluator for the main tensor and the mu tensors, of one degree
-        self._value = np.matmul if self._T.ndim == 2 else _quadratic_value
+        # One evaluator for the main tensor and the mu tensors, of one degree,
+        # and its derivative in p: a linear T p has the constant slope T, a
+        # quadratic T[:, s, t] p_s p_t has the slope (T[:, s, t] + T[:, t, s]) p_t.
+        if self._T.ndim == 2:
+            self._value, self._slope = np.matmul, _constant_slope
+            self._dT, dmu = self._T, self._mu
+        else:
+            self._value, self._slope = _quadratic_value, np.matmul
+            self._dT, dmu = _symmetrized(self._T), [_symmetrized(m) for m in self._mu]
+        self._dmu = np.stack(dmu, axis=1) if dmu else None
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
-        value = self._value
-        target = value(self._T, p)
+        return self.linearize(p)[0]
+
+    def linearize(self, p: np.ndarray):
+        """The residual at ``p`` and its exact Jacobian in ``p``."""
+        target = self._value(self._T, p)
+        slope = self._slope(self._dT, p)
         if self._mu:
-            target = self._fit_mu(target, [value(m, p) for m in self._mu])
+            return self._fit_mu(target, slope, p)
         if self._proj is not None:
             target = self._proj @ target
-        return np.concatenate([target.real, target.imag])
+            slope = self._proj @ slope
+        return (np.concatenate([target.real, target.imag]),
+                np.concatenate([slope.real, slope.imag]))
 
-    @staticmethod
-    def _fit_mu(target: np.ndarray, cols) -> np.ndarray:
-        A = np.stack(cols, axis=1)
+    def _fit_mu(self, target: np.ndarray, slope: np.ndarray, p: np.ndarray):
+        """Residual of the least-squares fit of ``target`` by the mu columns
+        ``A``, and its Jacobian by variable projection (Golub-Pereyra 1973):
+        with ``sol`` the fit, ``P = I - A A^+`` and ``r`` the residual,
+        ``dr = P (db - dA sol) - (A^+)^T (dA^T r)``.
+        """
+        A = np.stack([self._value(m, p) for m in self._mu], axis=1)
         A = np.concatenate([A.real, A.imag])
         b = np.concatenate([target.real, target.imag])
         sol, *_ = np.linalg.lstsq(A, b, rcond=None)
         resid = b - A @ sol
-        k = target.size
-        return resid[:k] + 1j * resid[k:]
+        dA = self._slope(self._dmu, p)
+        dA = np.concatenate([dA.real, dA.imag])
+        db = np.concatenate([slope.real, slope.imag])
+        # A^+ = V S^-1 U^T over the singular values lstsq keeps
+        u, sv, vt = np.linalg.svd(A, full_matrices=False)
+        keep = sv > np.finfo(float).eps * max(A.shape) * sv[0]
+        u, sv, vt = u[:, keep], sv[keep], vt[keep]
+        off = db - np.einsum("zis,i->zs", dA, sol)
+        back = vt @ np.einsum("zis,z->is", dA, resid)
+        return resid, off - u @ (u.T @ off) - u @ (back / sv[:, None])
+
+
+def _constant_slope(T: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return T
+
+
+def _symmetrized(T: np.ndarray) -> np.ndarray:
+    return T + np.swapaxes(T, -1, -2)
 
 
 def _hermitian_from_raw(raw: np.ndarray):
@@ -427,15 +456,42 @@ def _hermitian_from_raw(raw: np.ndarray):
     return L @ L.conj().T
 
 
-def _p_from_raw(raw: np.ndarray) -> np.ndarray:
-    H = _hermitian_from_raw(raw)
-    w1, w2, w3 = 1j * H[1, 2], 1j * H[0, 2], 1j * H[0, 1]
-    return np.array(
-        [
-            H[0, 0].real, H[1, 1].real, H[2, 2].real,
-            w1.real, w1.imag, w2.real, w2.imag, w3.real, w3.imag,
-        ]
-    )
+def _p_from_raw(raw: np.ndarray):
+    """Metric coefficients ``p`` of ``H = L L^*`` at ``raw`` (see
+    :func:`_hermitian_from_raw`), and the Jacobian ``dp/draw``.
+
+    With ``L = [[a, 0, 0], [u, b, 0], [v, w, c]]``, ``p`` is ``(a^2, |u|^2 + b^2,
+    |v|^2 + |w|^2 + c^2, Re w1, Im w1, .., Im w3)`` for ``w1 = i H[1, 2] = i(u v^* + b w^*)``,
+    ``w2 = i H[0, 2] = i a v^*`` and ``w3 = i H[0, 1] = i a u^*``.
+    """
+    l1, l2, l3, ur, ui, vr, vi, wr, wi = raw.tolist()
+    a, b, c = (math.exp(min(max(x, -6.0), 6.0)) for x in (l1, l2, l3))
+    # d exp(x) = exp(x), and 0 where the clip is active
+    da, db, dc = (e if -6.0 < x < 6.0 else 0.0 for e, x in ((a, l1), (b, l2), (c, l3)))
+    p = np.array([a * a, ur * ur + ui * ui + b * b, vr * vr + vi * vi + wr * wr + wi * wi + c * c,
+                  ur * vi - ui * vr + b * wi, ur * vr + ui * vi + b * wr,
+                  a * vi, a * vr, a * ui, a * ur])
+    jac = np.array([
+        2 * a * da, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 2 * b * db, 0, 2 * ur, 2 * ui, 0, 0, 0, 0,
+        0, 0, 2 * c * dc, 0, 0, 2 * vr, 2 * vi, 2 * wr, 2 * wi,
+        0, wi * db, 0, vi, -vr, -ui, ur, 0, b,
+        0, wr * db, 0, vr, vi, ur, ui, b, 0,
+        vi * da, 0, 0, 0, 0, 0, a, 0, 0,
+        vr * da, 0, 0, 0, 0, a, 0, 0, 0,
+        ui * da, 0, 0, 0, a, 0, 0, 0, 0,
+        ur * da, 0, 0, a, 0, 0, 0, 0, 0,
+    ]).reshape(9, 9)
+    return p, jac
+
+
+def _metric_objective(residual: _MetricResidual, raw: np.ndarray):
+    """The residual :func:`find_metric` minimizes at ``raw``, with the trace
+    row ``(l1 + l2 + l3 - 3) / 4`` that fixes the scale, and its exact Jacobian."""
+    p, dp = _p_from_raw(raw)
+    r, jac = residual.linearize(p)
+    return (np.concatenate([r, [0.25 * (p[0] + p[1] + p[2] - 3.0)]]),
+            np.vstack([jac @ dp, 0.25 * (dp[0] + dp[1] + dp[2])]))
 
 
 def _exactify_metric(cx: Complexification, condition: str, raw: np.ndarray):
@@ -449,9 +505,13 @@ def _exactify_metric(cx: Complexification, condition: str, raw: np.ndarray):
             Fraction(z.imag).limit_denominator(bound),
         )
 
+    previous = None
     for bound in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 1000, 10**5):
         lams = [Fraction(H[k, k].real).limit_denominator(bound) for k in range(3)]
         ws = [gr(1j * H[1, 2], bound), gr(1j * H[0, 2], bound), gr(1j * H[0, 1], bound)]
+        if (lams, ws) == previous:
+            continue  # the exact verdict on this candidate is already known
+        previous = (lams, ws)
         metric = HermitianMetric(lams, ws)
         if not is_positive(metric):
             continue
@@ -466,13 +526,7 @@ def find_metric(cx: Complexification, condition: str,
                 cfg: Optional[SearchConfig] = None) -> SearchOutcome:
     """Search Hermitian metrics on the complex structure ``cx`` for a condition."""
     cfg = cfg or SearchConfig()
-    residual = _MetricResidual(cx, condition)
-
-    def fn(raw):
-        p = _p_from_raw(raw)
-        r = residual(p)
-        return np.concatenate([r, [0.25 * (p[0] + p[1] + p[2] - 3.0)]]), None
-
+    fn = functools.partial(_metric_objective, _MetricResidual(cx, condition))
     rng = np.random.default_rng(cfg.seed)
     best_norms = []
     for t in range(cfg.restarts):
@@ -560,12 +614,23 @@ def _absence_covered(condition: str, ruled_out: set) -> bool:
 
 def entry_complexification(entry) -> Complexification:
     """An exact complex structure on a catalog entry, from its first example."""
-    ex = entry.examples[0]
-    g = ex.algebra_instance()
-    return Complexification.from_real(g, ex.j())
+    return _example_structure(entry.examples[0], {})
 
 
-def _existence_cell(entry, condition: str):
+def _example_structure(ex, structures: dict) -> Complexification:
+    """The complex structure of a stored example; ``structures`` maps
+    ``id(example)`` to it, so that each one is built once."""
+    if id(ex) not in structures:
+        structures[id(ex)] = Complexification.from_real(ex.algebra_instance(), ex.j())
+    return structures[id(ex)]
+
+
+def _existence_cell(entry, condition: str, reports: dict, structures: dict):
+    """The cell of a claimed condition, from the first stored example with it.
+
+    ``reports`` maps ``id(example)`` to its ``verify_example`` report, so that
+    each example is verified once however many conditions it claims.
+    """
     from .catalog import verify_example
     from .herm import check_strongly_gauduchon
 
@@ -573,13 +638,14 @@ def _existence_cell(entry, condition: str):
     for ex in entry.examples:
         if source not in ex.conditions:
             continue
-        report = verify_example(ex)
+        if id(ex) not in reports:
+            reports[id(ex)] = verify_example(ex)
+        report = reports[id(ex)]
         if not report.get("ok"):
             return {"status": "mismatch",
                     "detail": f"stored example failed verification: {report}"}
         if condition == "strongly_gauduchon":
-            g = ex.algebra_instance()
-            cx = Complexification.from_real(g, ex.j())
+            cx = _example_structure(ex, structures)
             om = cx.to_alpha(ex.omega_form())
             if not check_strongly_gauduchon(cx, om):
                 return {"status": "mismatch",
@@ -599,6 +665,9 @@ def classification_sweep(conditions: Optional[Sequence[str]] = None,
     rows = []
     mismatches = []
     for entry in list_entries():
+        # per stored example of this entry: a claimed condition reuses the
+        # verification and the complex structure of an example already seen
+        reports, structures = {}, {}
         ruled_out = set()
         for row in obstruction_table(algebra=entry.name):
             report = replay_obstruction_row(row)
@@ -609,13 +678,13 @@ def classification_sweep(conditions: Optional[Sequence[str]] = None,
         for cond in conds:
             claim_key = "balanced" if cond == "strongly_gauduchon" else cond
             if entry.claims.get(claim_key, "never") != "never":
-                cell = _existence_cell(entry, cond)
+                cell = _existence_cell(entry, cond, reports, structures)
             elif _absence_covered(cond, ruled_out):
                 cell = {"status": "obstruction-replayed",
                         "detail": "exact obstruction rules this out"}
             else:
                 if cx is None:
-                    cx = entry_complexification(entry)
+                    cx = _example_structure(entry.examples[0], structures)
                 outcome = find_metric(cx, cond, cfg)
                 if outcome.status == "found":
                     cell = {"status": "mismatch",

@@ -15,6 +15,7 @@ from hermlie.search import (
     SearchConfig,
     _MetricResidual,
     _j_model,
+    _metric_objective,
     _structure_tensor,
     classification_sweep,
     entry_complexification,
@@ -144,6 +145,25 @@ class TestMetricResidual:
         assert set(ex.conditions) <= holding
         for cond in holding:
             assert np.abs(_MetricResidual(cx, cond)(p)).max() < 1e-9, cond
+
+    @pytest.mark.parametrize("entry", list_entries(), ids=lambda e: e.name)
+    def test_jacobian_matches_central_difference(self, entry):
+        cx = entry_complexification(entry)
+        rng = np.random.default_rng(5)
+        points = [rng.normal(0.0, 0.8, 9) for _ in range(3)]
+        # raw[0] lies past the clip, so its column is 0; the other diagonal
+        # entries are large too, which keeps the metric well conditioned
+        points.append(np.concatenate([[6.5, 5.5, 5.5], rng.normal(0.0, 0.8, 6)]))
+        h = 1e-6
+        for cond in sorted(CHECKERS):
+            residual = _MetricResidual(cx, cond)
+            for raw in points:
+                _, jac = _metric_objective(residual, raw)
+                fd = np.stack([(_metric_objective(residual, raw + e)[0]
+                                - _metric_objective(residual, raw - e)[0]) / (2 * h)
+                               for e in np.eye(9) * h], axis=1)
+                scale = max(1.0, np.abs(fd).max())
+                assert np.abs(jac - fd).max() <= 1e-6 * scale, (cond, raw.tolist())
 
 
 class TestMetricSearch:
