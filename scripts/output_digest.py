@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import inspect
 import io
 import json
 import sys
@@ -146,15 +145,11 @@ def _residual() -> list:
 
 
 def _metric() -> list:
-    # ``find_metric`` once took the algebra and the structure separately
-    legacy = next(iter(inspect.signature(search.find_metric).parameters)) == "g"
     out = []
     for entry in catalog.list_entries():
         cx = search.entry_complexification(entry)
         for cond in sorted(herm.CHECKERS):
-            cfg = search.SearchConfig(**METRIC_SEARCH)
-            found = (search.find_metric(cx.g, cx, cond, cfg) if legacy
-                     else search.find_metric(cx, cond, cfg))
+            found = search.find_metric(cx, cond, search.SearchConfig(**METRIC_SEARCH))
             out.append([entry.name, cond, found.status,
                         [r.hex() for r in found.best_residuals]])
     return out

@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 from . import linalg
 from .forms import Antiderivation, Form, sort_sign
 from .liealg import LieAlgebra, ce_differential
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, Poly, PolyRing, conj_scalar
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, PolyRing, conj_scalar, im_part, re_part
 
 HOLO = 3  # indices 1..3 are (1,0), indices 4..6 their conjugates
 
@@ -352,17 +352,12 @@ class FamilyInstance:
         return self._cx
 
 
-def _unit_circle(params: dict):
-    """Resolve e^{i theta}: exact via params['c'] (unit Gaussian rational),
-    or float via params['theta']."""
-    if "c" in params:
-        c = GaussianRational.coerce(params["c"])
-        if c * c.conj() != GR_ONE:
-            raise ValueError("c must lie on the unit circle")
-        return c
-    import cmath
-
-    return cmath.exp(1j * float(params["theta"]))
+def _unit_circle(params: dict) -> GaussianRational:
+    """The unit Gaussian rational params['c'], standing for e^{i theta}."""
+    c = GaussianRational.coerce(params["c"])
+    if c * c.conj() != GR_ONE:
+        raise ValueError("c must lie on the unit circle")
+    return c
 
 
 def _heis_family(family_id: str, params: dict) -> list[Form]:
@@ -557,7 +552,7 @@ def _n5_family(family_id: str, params: dict) -> list[Form]:
         return [d1, -_alpha_k_wedge_re3(2), Form.zero(6, 2)]
     if family_id == "N52-152-a":
         z1, z2, delta = p["z1"], p["z2"], p["delta"]
-        rez2 = _re(z2)
+        rez2 = re_part(z2)
         d1 = (
             _two((1, 2))
             + _two((1, 3), -rez2)
@@ -582,11 +577,11 @@ def _n5_family(family_id: str, params: dict) -> list[Form]:
         # (z, x, y) branch takes X = x, Y = y real with x != 0.
         if family_id == "N52-152-b":
             z, delta = p["z1"], p["delta"]
-            X = delta * _im(p["z2"])
+            X = delta * im_part(p["z2"])
             Y = p["z2"]
         else:
             z, X, Y = p["z"], p["x"], p["y"]
-        rez, imz = _re(z), _im(z)
+        rez, imz = re_part(z), im_part(z)
         X2 = X * X
         inv2X2 = _inv(2 * X2)
         c23 = inv2X2 * (z * _cj(z) - X * (Y + i))
@@ -615,88 +610,20 @@ def _n5_family(family_id: str, params: dict) -> list[Form]:
     raise KeyError(family_id)
 
 
-def _re(z):
-    if isinstance(z, Poly):
-        names = sorted(z.variables())
-        base = [n for n in names if not n.endswith("~")]
-        if len(base) == 1 and z == z.ring.var(base[0]):
-            return z.ring.re_part(base[0])
-        raise ValueError("symbolic Re() only supported for bare variables")
-    z = GaussianRational.coerce(z) if not isinstance(z, complex) else z
-    if isinstance(z, complex):
-        return z.real
-    return GaussianRational(z.re)
-
-
-def _im(z):
-    if isinstance(z, Poly):
-        names = sorted(z.variables())
-        base = [n for n in names if not n.endswith("~")]
-        if len(base) == 1 and z == z.ring.var(base[0]):
-            return z.ring.im_part(base[0])
-        raise ValueError("symbolic Im() only supported for bare variables")
-    z = GaussianRational.coerce(z) if not isinstance(z, complex) else z
-    if isinstance(z, complex):
-        return z.imag
-    return GaussianRational(z.im)
-
-
 def _cj(z):
     return conj_scalar(GaussianRational.coerce(z) if isinstance(z, (int, str)) else z)
 
 
-def _inv(z):
-    from fractions import Fraction
-
-    if isinstance(z, (int, Fraction)):
-        return GaussianRational(Fraction(1) / z)
-    if isinstance(z, GaussianRational):
-        return z.inverse()
-    if isinstance(z, (float, complex)):
-        return 1.0 / z
-    raise TypeError("cannot invert symbolic coefficients; bind parameters first")
-
-
-FAMILY_PARAMS = {
-    "AA-s3.3^0+R3": ("z",),
-    "AA-s4.3+R2": ("z1", "z2"),
-    "AA-s4.5+R2": ("p", "z1", "z2"),
-    "AA-s5.4^0+R": ("z1", "z2"),
-    "AA-s5.8^0+R": ("z1", "z2"),
-    "AA-s5.9+R": ("z1", "z2"),
-    "AA-s5.11+R": ("p", "z1", "z2"),
-    "AA-s5.13+R": ("p", "r", "eps", "z1", "z2"),
-    "AA-s6.14": ("z1", "z2"),
-    "AA-s6.16": ("p", "z1", "z2"),
-    "AA-s6.17": ("q", "z1", "z2"),
-    "AA-s6.18": ("z1", "z2"),
-    "AA-s6.19": ("p", "q", "z1", "z2"),
-    "AA-s6.20": ("p", "z1", "z2"),
-    "AA-s6.21": ("p", "q", "r", "eps", "z1", "z2"),
-    "HT-h3+s3.3^0": ("eps",),
-    "HT-s4.7+R2": ("eps",),
-    "HT-s6.44": ("eps",),
-    "HT-s6.52": ("delta", "eps", "q"),
-    "HT-s6.159": ("delta", "eps"),
-    "HT-s6.162^1": (),
-    "HT-s6.165": ("p",),
-    "HT-s6.166": ("delta", "eps", "p"),
-    "HT-s6.167": ("eps", "x"),
-    "N51-145": ("theta|c", "nu"),
-    "N51-147-a": ("z", "nu"),
-    "N51-147-b": ("z",),
-    "N51-147-c": ("x",),
-    "N52-152-a": ("z1", "z2", "delta"),
-    "N52-152-b": ("z1", "z2", "delta"),
-    "N52-154": ("z", "x", "y"),
-}
+def _inv(z) -> GaussianRational:
+    return GaussianRational.coerce(z).inverse()
 
 
 def instantiate_family(family_id: str, params: Optional[Mapping] = None) -> FamilyInstance:
     """Complex structure equations of a named family at parameter values.
 
-    Parameter values may be exact (int/Fraction/GaussianRational), symbolic
-    (:class:`~hermlie.scalars.Poly`), or floats/complex for numeric work.
+    Parameter values may be exact (int/Fraction/GaussianRational) or
+    symbolic (:class:`~hermlie.scalars.Poly`); a parameter that a family
+    divides by must be exact.
     """
     params = dict(params or {})
     if family_id.startswith("AA-"):

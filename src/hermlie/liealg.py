@@ -177,60 +177,16 @@ class _Parser:
             sign = GR_ONE
 
     def parse_term(self):
-        """One product of coefficient factors, side by side or joined by one
-        ``*``, optionally ending in f<jk>."""
-        coeff = GR_ONE
-        indices = None
-        saw_factor = False
-        while True:
-            kind, val = self.peek()
-            if val == "*" and saw_factor:
-                # explicit product: a factor must follow, so "**" is rejected
-                self.take()
-                saw_factor = False
-                continue
-            if kind == "form":
-                self.take()
-                digits = val[1:]
-                if len(digits) != self.degree:
-                    raise ValueError(
-                        f"expected a degree-{self.degree} symbol, got {val!r}"
-                    )
-                indices = tuple(int(d) for d in digits)
-                return coeff, indices
-            if kind == "num":
-                self.take()
-                factor = GaussianRational(int(val))
-            elif kind == "name":
-                self.take()
-                if val not in self.params:
-                    raise ValueError(f"unbound parameter {val!r}")
-                factor = GaussianRational.coerce(self.params[val])
-            elif val == "(":
-                self.take()
-                factor = self.parse_sum()
-                self.expect(")")
-            else:
-                if not saw_factor:
-                    raise ValueError(f"unexpected token {val!r}")
-                return coeff, None
-            saw_factor = True
-            # optional power and division
-            while True:
-                kind2, val2 = self.peek()
-                if val2 == "^":
-                    self.take()
-                    k2, v2 = self.take()
-                    if k2 != "num":
-                        raise ValueError("exponent must be an integer")
-                    factor = factor ** int(v2)
-                elif val2 == "/":
-                    # lookahead: divide by the next single factor
-                    self.take()
-                    factor = factor / self.parse_atom()
-                else:
-                    break
-            coeff = coeff * factor
+        """A coefficient product, optionally ending in f<jk>; returns
+        ``(coeff, indices)`` with ``indices`` None for a bare coefficient."""
+        coeff = GR_ONE if self.peek()[0] == "form" else self.parse_product()
+        kind, val = self.peek()
+        if kind != "form":
+            return coeff, None
+        self.take()
+        if len(val) - 1 != self.degree:
+            raise ValueError(f"expected a degree-{self.degree} symbol, got {val!r}")
+        return coeff, tuple(int(d) for d in val[1:])
 
     def parse_atom(self) -> GaussianRational:
         kind, val = self.take()
@@ -245,8 +201,7 @@ class _Parser:
             self.expect(")")
         else:
             raise ValueError(f"unexpected token {val!r}")
-        kind2, val2 = self.peek()
-        if val2 == "^":
+        while self.peek()[1] == "^":
             self.take()
             k2, v2 = self.take()
             if k2 != "num":
@@ -274,11 +229,15 @@ class _Parser:
             sign = GR_ONE
 
     def parse_product(self) -> GaussianRational:
+        """Factors side by side or joined by ``*`` or ``/``; a ``*`` before a
+        basis symbol (``2*f1``) ends the product."""
         out = self.parse_atom()
         while True:
             kind, val = self.peek()
             if val == "*":
                 self.take()
+                if self.peek()[0] == "form":
+                    return out
                 out = out * self.parse_atom()
             elif val == "/":
                 self.take()

@@ -1,15 +1,28 @@
 """Registry of symbolic obstructions: exact certificates of non-existence.
 
-Each row documents why a given Hermitian condition fails on a given algebra,
-as a staged symbolic computation over the generic compatible metric
+Each row documents why a Hermitian condition, or any complex structure at
+all, fails on a given algebra, as a staged symbolic computation.  One engine,
+:func:`replay_obstruction_row`, replays every row:
+
+* a *context* (:class:`ReplayContext`) holds the polynomial ring, the
+  parameter values and the residual of one sign choice and sample of a row;
+* a *branch* (:class:`Branch`) is one case of the elimination.  It is entered
+  with the names in ``assume`` set to zero, then runs its steps.  A row's
+  ``steps`` are either its branches or the steps of one implicit branch;
+* a *step* (:class:`Step`) extracts a coefficient (or combination) of the
+  residual, with the substitutions installed so far applied, asserts its
+  exact polynomial value, and optionally installs the substitutions forced
+  by setting it to zero;
+* a *pivot* binds a variable that appears in a denominator to an exact
+  rational value.  A branch with pivots is replayed once per pivot, so it
+  covers those values only.
+
+Metric rows work over the generic compatible metric
 ``omega = i(l1 a^{11'} + l2 a^{22'} + l3 a^{33'}) + w1 a^{23'} - w1~ a^{32'}
 + w2 a^{13'} - w2~ a^{31'} + w3 a^{12'} - w3~ a^{21'}`` on a family of
-complex structure equations (one row per family branch).  A row consists of
-steps; each step extracts a coefficient (or combination) of the appropriate
-residual form, asserts its exact polynomial value, and optionally installs a
-substitution forced by setting it to zero.  The final step exhibits a value
-that cannot vanish on the positivity cone (l's > 0, l_j l_k > |w_i|^2), or
-shows that the twisting 1-form is forced to vanish.
+complex structure equations (one row per family branch).  Their final step
+exhibits a value that cannot vanish on the positivity cone (l's > 0,
+l_j l_k > |w_i|^2), or shows that the twisting 1-form is forced to vanish.
 
 Residual conventions (xi denotes the coefficient of the *sorted* monomial):
   - "twisted"  (rules out both SKT and LCSKT): d(H) - mu ^ H with H = d^c w
@@ -17,9 +30,9 @@ Residual conventions (xi denotes the coefficient of the *sorted* monomial):
   - "strg":    del(omega^2) - dbar(beta), beta = a^{123} ^ (sum b_k a^{k'})
   - "firstg":  the a^{11'22'33'} coefficient of del dbar omega ^ omega
   - "tamed":   del(omega) - dbar(beta), beta a del-closed (2,0)-form
-  - "nijenhuis": staged elimination on a fully generic J proving that no
-    integrable complex structure exists (J^2 = -Id leads to a sign
-    contradiction).
+  - "nijenhuis": the pair (N, J^2) of a fully generic J, read with
+    ``n(i, j, k)`` and ``j2(i, j)``.  Every branch ends in a sign
+    contradiction with J^2 = -Id, so no integrable complex structure exists.
 
 Rows with sign parameters (values in {-1, +1}) are replayed for every sign
 choice; rows whose family coefficients involve divisions by parameters are
@@ -28,16 +41,17 @@ replayed at exact rational parameter samples instead of symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional
 
-from .cpx import ComplexFrame, instantiate_family, nijenhuis, generic_j_ring
+from .cpx import instantiate_family, nijenhuis, generic_j_ring
 from .forms import Form
 from .herm import HermitianMetric, fundamental_form, first_gauduchon_coefficient, torsion_H
 from .liealg import parse_structure_equations
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, Poly, PolyRing, conj_scalar
+from .scalars import (GR_I, GR_ZERO, GaussianRational, Poly, PolyRing, conj_scalar,
+                      im_part, re_part)
 
 F = Fraction
 I = GR_I
@@ -48,60 +62,82 @@ I = GR_I
 
 
 class ReplayContext:
-    """State threaded through the steps of one obstruction row replay."""
+    """State threaded through the steps of one branch of a row replay."""
 
-    def __init__(self, ring: PolyRing, params: dict, frame: Optional[ComplexFrame]):
+    def __init__(self, ring: PolyRing, params: dict):
         self.ring = ring
         self.params = params
-        self.frame = frame
-        self.residual = None  # Form or scalar, set by the driver
+        self.residual = None  # Form, scalar or (N, J^2), set by _contexts
         self.subs: dict = {}
+        self.pivot: dict = {}
+
+    def enter(self, assume: tuple, pivot: dict):
+        """Start a branch: drop every substitution, set the ``assume`` names
+        to zero and bind the pivot's exact values."""
+        self.subs = {}
+        self.pivot = {n: GaussianRational.coerce(x) for n, x in pivot.items()}
+        for name in assume:
+            self.set(name, 0)
+        for name, x in self.pivot.items():
+            self.set(name, x)
 
     # -- variable access ------------------------------------------------
     def v(self, name):
+        """The variable ``name``, or its exact value where a pivot binds it."""
+        if name in self.pivot:
+            return self.pivot[name]
         return self.ring.var(name)
 
     def p(self, name):
         """Parameter value: symbolic Poly, sign, or exact sample."""
         return self.params[name]
 
-    def re(self, x):
-        return _re_of(self.ring, x)
-
-    def im(self, x):
-        return _im_of(self.ring, x)
-
-    def cj(self, x):
-        return conj_scalar(x)
+    re = staticmethod(re_part)
+    im = staticmethod(im_part)
+    cj = staticmethod(conj_scalar)
 
     def norm_sq(self, x):
         return x * conj_scalar(x)
 
     # -- residual access ------------------------------------------------
-    def _apply(self, value):
-        if isinstance(value, Poly) and self.subs:
+    def _apply(self, value) -> Poly:
+        """``value`` in the ring, with the installed substitutions applied
+        when it mentions a substituted name."""
+        value = self.ring.coerce(value)
+        if self.subs and not value.variables().isdisjoint(self.subs):
             return value.substitute(self.subs)
         return value
 
     def xi(self, *indices):
         """Coefficient of the sorted alpha-monomial, current substitutions
         applied.  Conjugate slots use indices 4, 5, 6 for 1', 2', 3'."""
-        return self._apply(self.ring.coerce(self.residual.coeff(*indices)))
+        return self._apply(self.residual.coeff(*indices))
 
     def value(self):
         """The residual itself when it is a scalar (first-Gauduchon rows)."""
-        return self._apply(self.ring.coerce(self.residual))
+        return self._apply(self.residual)
+
+    def n(self, i: int, j: int, k: int):
+        """The f_k-component of N(f_i, f_j), i < j (Nijenhuis rows)."""
+        return self._apply(self.residual[0][(i, j)][k - 1])
+
+    def j2(self, i: int, j: int):
+        """Entry (i, j) of J^2 (Nijenhuis rows)."""
+        return self._apply(self.residual[1][i - 1][j - 1])
 
     # -- substitutions forced by a step ---------------------------------
     def set(self, name: str, value):
-        """Install variable := value (and the conjugate partner, if any)."""
-        value = self.ring.coerce(value)
-        if self.subs:
-            value = value.substitute(self.subs)
-        self.subs[name] = value
+        """Install name := value (and the conjugate partner, if any).  The
+        new value is folded into the earlier ones, so no installed value
+        mentions an installed name."""
+        value = self._apply(value)
+        new = {name: value}
         partner = _conj_name(self.ring, name)
-        if partner is not None and partner != name:
-            self.subs[partner] = conj_scalar(value)
+        if partner is not None:
+            new[partner] = conj_scalar(value)
+        for k, old in self.subs.items():
+            self.subs[k] = old.substitute(new)
+        self.subs.update(new)
 
     def set_zero(self, *names):
         for n in names:
@@ -113,23 +149,23 @@ def _conj_name(ring: PolyRing, name: str) -> Optional[str]:
     return None if partner == name else partner
 
 
-def _re_of(ring: PolyRing, x):
-    x = ring.coerce(x)
-    half = GaussianRational("1/2")
-    return (x + conj_scalar(x)) * half
-
-
-def _im_of(ring: PolyRing, x):
-    x = ring.coerce(x)
-    return (x - conj_scalar(x)) * (-GaussianRational("1/2") * I)
-
-
 @dataclass(frozen=True)
 class Step:
     label: str
     value: Callable[[ReplayContext], object]
     expected: Callable[[ReplayContext], object]
     after: Optional[Callable[[ReplayContext], None]] = None
+
+
+@dataclass(frozen=True)
+class Branch:
+    """One case of an elimination: ``assume`` names the variables known to
+    vanish on entry; each dict in ``pivots`` binds variables that appear in
+    denominators to exact values, and the branch is replayed once per dict."""
+    label: str
+    steps: tuple
+    assume: tuple = ()
+    pivots: tuple = ()
 
 
 @dataclass
@@ -147,7 +183,7 @@ class ObstructionRow:
     mu_real: tuple = ()     # extra real variables of the twisting form
     mu_cpx: tuple = ()      # extra complex variables of the twisting form
     mu: Optional[Callable[[ReplayContext], Form]] = None
-    steps: tuple = ()
+    steps: tuple = ()       # Steps of one implicit branch, or Branches
     note: str = ""
 
     def key(self):
@@ -208,9 +244,9 @@ def _mu_re2_minus_re3(scale_name: str):
     return build
 
 
-def _build_residual(row: ObstructionRow, ctx: ReplayContext, shape: str):
-    ring, frame = ctx.ring, ctx.frame
-    om = _omega(ring, shape)
+def _build_residual(row: ObstructionRow, ctx: ReplayContext, frame):
+    ring = ctx.ring
+    om = _omega(ring, "almost_abelian" if row.family_id.startswith("AA-") else "full")
     if row.residual == "twisted":
         H = torsion_H(frame, om)
         res = frame.d(H)
@@ -242,35 +278,54 @@ def _build_residual(row: ObstructionRow, ctx: ReplayContext, shape: str):
     raise ValueError(f"unknown residual kind {row.residual!r}")
 
 
-def replay_obstruction_row(row: ObstructionRow) -> dict:
-    """Re-run every step of a row exactly; raises AssertionError on the
-    first mismatch, returns a report otherwise."""
+def _contexts(row: ObstructionRow):
+    """One context per sign choice and sample of the row, residual built."""
     if row.residual == "nijenhuis":
-        return _replay_nijenhuis(row)
-
-    sign_choices = list(product((1, -1), repeat=len(row.signs))) or [()]
-    samples = list(row.samples) or [{}]
-    shape = "almost_abelian" if row.family_id.startswith("AA-") else "full"
-    runs = 0
-    for signs in sign_choices:
-        for sample in samples:
+        for sample in row.samples:
+            ring, J = generic_j_ring(6)
+            g = parse_structure_equations(sample["_eqs"], name=row.algebra)
+            J2 = [[sum((J[i][t] * J[t][j] for t in range(6)), ring.zero())
+                   for j in range(6)] for i in range(6)]
+            ctx = ReplayContext(ring, {k: GaussianRational.coerce(v)
+                                       for k, v in sample.items() if not k.startswith("_")})
+            ctx.residual = (nijenhuis(g, J), J2)
+            yield ctx
+        return
+    for signs in product((1, -1), repeat=len(row.signs)):
+        for sample in row.samples or ({},):
             ring = _metric_ring(row)
             params = dict(zip(row.signs, signs))
             params.update({n: ring.var(n) for n in row.sym_real})
             params.update({n: ring.var(n) for n in row.sym_cpx})
             params.update(sample)
-            fam = instantiate_family(row.family_id, params)
-            ctx = ReplayContext(ring, params, fam.frame)
-            ctx.residual = _build_residual(row, ctx, shape)
-            for step in row.steps:
-                got = ring.coerce(step.value(ctx))
-                want = ring.coerce(step.expected(ctx))
-                if got != want:
-                    raise AssertionError(
-                        f"{row.algebra}/{row.condition}/{row.branch} step "
-                        f"{step.label!r} at {params}: got {got}, expected {want}")
-                if step.after is not None:
-                    step.after(ctx)
+            ctx = ReplayContext(ring, params)
+            ctx.residual = _build_residual(
+                row, ctx, instantiate_family(row.family_id, params).frame)
+            yield ctx
+
+
+def replay_obstruction_row(row: ObstructionRow) -> dict:
+    """Re-run every step of every branch of a row exactly, in each of its
+    contexts; raises AssertionError on the first mismatch, returns a report
+    otherwise.  ``runs`` counts contexts times branches."""
+    branches = row.steps
+    if not isinstance(branches[0], Branch):
+        branches = (Branch(row.branch, row.steps),)
+    runs = 0
+    for ctx in _contexts(row):
+        for branch in branches:
+            for pivot in branch.pivots or ({},):
+                ctx.enter(branch.assume, pivot)
+                for step in branch.steps:
+                    got = ctx.ring.coerce(step.value(ctx))
+                    want = ctx._apply(step.expected(ctx))
+                    if got != want:
+                        raise AssertionError(
+                            f"{row.algebra}/{row.condition}/{row.branch} branch "
+                            f"{branch.label!r} step {step.label!r} at {ctx.params} "
+                            f"{ctx.pivot}: got {got}, expected {want}")
+                    if step.after is not None:
+                        step.after(ctx)
             runs += 1
     return {
         "algebra": row.algebra,
@@ -856,95 +911,17 @@ def _rows_tamed() -> list:
 # Nijenhuis chains: non-existence of complex structures (generic J)
 
 
-@dataclass(frozen=True)
-class NStep:
-    """One staged assertion on the generic-J elimination: with the branch
-    substitutions installed so far, the quantity named by ``target`` equals
-    ``expected``.  ``target`` is ("N", i, j, k) for the f_k-component of
-    N(f_i, f_j), ("J2", i, j) for an entry of J^2, or ("N-J2", i, j, k, a, b)
-    for their difference.  ``subs`` (installed after the check) records the
-    variable values forced by setting the quantity to zero (to -1 for pure
-    J^2 diagonal targets)."""
-    label: str
-    target: tuple
-    expected: Callable
-    subs: tuple = ()       # tuple of (name, value-or-callable)
+def _installs(sets: tuple):
+    """An ``after`` hook installing each (name, value) pair in order; a
+    callable value is evaluated on the context first."""
+    if not sets:
+        return None
 
+    def install(c: ReplayContext):
+        for name, val in sets:
+            c.set(name, val(c) if callable(val) else val)
 
-@dataclass(frozen=True)
-class NBranch:
-    """A case of the elimination: ``assume`` names the entries already known
-    to vanish when the branch is entered; ``pivots`` (optional) carries exact
-    rational values for a pivot variable that appears in denominators."""
-    label: str
-    assume: tuple = ()     # variable names set to zero on entry
-    steps: tuple = ()
-    pivots: tuple = ()     # tuple of dicts name -> exact value
-
-
-def _replay_nijenhuis(row: ObstructionRow) -> dict:
-    runs = 0
-    for sample in row.samples:
-        eqs = sample["_eqs"]
-        consts = {k: GaussianRational.coerce(v)
-                  for k, v in sample.items() if not k.startswith("_")}
-        g = parse_structure_equations(eqs, name=row.algebra)
-        ring, J = generic_j_ring(6)
-        nj = nijenhuis(g, J)
-        J2 = [[sum((J[i][t] * J[t][j] for t in range(6)), ring.zero())
-               for j in range(6)] for i in range(6)]
-
-        def target_value(t, subs):
-            if t[0] == "N":
-                v = ring.coerce(nj[(t[1], t[2])][t[3] - 1])
-            elif t[0] == "J2":
-                v = J2[t[1] - 1][t[2] - 1]
-            else:  # ("N-J2", i, j, k, a, b)
-                v = (ring.coerce(nj[(t[1], t[2])][t[3] - 1])
-                     - J2[t[4] - 1][t[5] - 1])
-            return v.substitute(subs) if subs else v
-
-        for branch in row.steps:
-            for pivot in (branch.pivots or ({},)):
-                V = {f"J{i}{j}": ring.var(f"J{i}{j}")
-                     for i in range(1, 7) for j in range(1, 7)}
-                V.update(consts)
-                subs = {}
-                for name in branch.assume:
-                    subs[name] = ring.zero()
-                for name, val in pivot.items():
-                    val = GaussianRational.coerce(val)
-                    V[name] = val
-                    subs[name] = ring.constant(val)
-                for st in branch.steps:
-                    got = target_value(st.target, subs)
-                    want = ring.coerce(st.expected(V))
-                    if subs:
-                        want = want.substitute(subs)
-                    if got != want:
-                        raise AssertionError(
-                            f"{row.algebra} branch {branch.label!r} step "
-                            f"{st.label!r} at {sample}: got {got}, "
-                            f"expected {want}")
-                    for name, val in st.subs:
-                        val = ring.coerce(val(V) if callable(val) else val)
-                        if subs:
-                            val = val.substitute(subs)
-                        # keep the substitution map idempotent: fold the new
-                        # value into every previously installed one
-                        for k in subs:
-                            subs[k] = subs[k].substitute({name: val})
-                        subs[name] = val
-            runs += 1
-    return {
-        "algebra": row.algebra,
-        "condition": row.condition,
-        "branch": row.branch,
-        "conclusion": row.conclusion,
-        "runs": runs,
-        "steps": [b.label for b in row.steps],
-        "ok": True,
-    }
+    return install
 
 
 def _rows_nijenhuis() -> list:
@@ -954,150 +931,152 @@ def _rows_nijenhuis() -> list:
     equations (with eps resolved) travel in the samples under the key
     ``_eqs``.  Every branch ends in a sign contradiction with J^2 = -Id,
     recorded in the step labels; division-bearing branches are replayed at
-    exact rational pivot values."""
+    exact rational pivot values.  ``N`` checks the f_k-component of
+    N(f_i, f_j) and ``Q`` an entry of J^2; the trailing (name, value) pairs
+    are the substitutions forced by setting the checked value to zero."""
     rows = []
 
-    N = lambda label, i, j, k, expected, *subs: NStep(
-        label, ("N", i, j, k), expected, tuple(subs))
-    Q = lambda label, i, j, expected, *subs: NStep(
-        label, ("J2", i, j), expected, tuple(subs))
+    N = lambda label, i, j, k, expected, *sets: Step(
+        label, lambda c: c.n(i, j, k), expected, _installs(sets))
+    Q = lambda label, i, j, expected, *sets: Step(
+        label, lambda c: c.j2(i, j), expected, _installs(sets))
 
     # ---- merged family with nilradical n5.1 -------------------------------
     # eps = 0 and eps = 1 give the two algebras named in row.algebra.
     f1 = (
-        NBranch(
+        Branch(
             "J62 nonzero",
             steps=(
                 N("f6(N(f2,f4))", 2, 4, 6,
-                  lambda V: V["J62"] * (V["J52"] - V["eps"] * V["J62"]),
-                  ("J52", lambda V: V["eps"] * V["J62"])),
+                  lambda c: c.v("J62") * (c.v("J52") - c.p("eps") * c.v("J62")),
+                  ("J52", lambda c: c.p("eps") * c.v("J62"))),
                 N("f4(N(f1,f2))", 1, 2, 4,
-                  lambda V: -2 * V["J41"] * V["J62"]),
+                  lambda c: -2 * c.v("J41") * c.v("J62")),
                 N("f6(N(f1,f2))", 1, 2, 6,
-                  lambda V: -2 * V["J61"] * V["J62"],
+                  lambda c: -2 * c.v("J61") * c.v("J62"),
                   ("J41", 0), ("J61", 0)),
                 N("f5(N(f1,f2))", 1, 2, 5,
-                  lambda V: -(V["J51"] * V["J62"]),
+                  lambda c: -(c.v("J51") * c.v("J62")),
                   ("J51", 0)),
                 N("f3(N(f1,f5))", 1, 5, 3,
-                  lambda V: -(V["J31"] ** 2),
+                  lambda c: -(c.v("J31") ** 2),
                   ("J31", 0)),
                 N("f6(N(f1,f6))", 1, 6, 6,
-                  lambda V: V["J21"] * V["J62"],
+                  lambda c: c.v("J21") * c.v("J62"),
                   ("J21", 0)),
                 Q("(J^2)_11 = J11^2 >= 0, contradiction", 1, 1,
-                  lambda V: V["J11"] ** 2),
+                  lambda c: c.v("J11") ** 2),
             )),
-        NBranch(
+        Branch(
             "J61 nonzero", assume=("J62",),
             steps=(
                 N("f3(N(f1,f2))", 1, 2, 3,
-                  lambda V: -2 * V["J32"] * V["J61"],
+                  lambda c: -2 * c.v("J32") * c.v("J61"),
                   ("J32", 0)),
                 N("f4(N(f2,f5))", 2, 5, 4,
-                  lambda V: -(V["J42"] ** 2),
+                  lambda c: -(c.v("J42") ** 2),
                   ("J42", 0)),
                 N("f6(N(f2,f6))", 2, 6, 6,
-                  lambda V: -(V["J12"] * V["J61"]),
+                  lambda c: -(c.v("J12") * c.v("J61")),
                   ("J12", 0)),
                 N("f6(N(f2,f3))", 2, 3, 6,
-                  lambda V: V["J52"] * V["J61"],
+                  lambda c: c.v("J52") * c.v("J61"),
                   ("J52", 0)),
                 Q("(J^2)_22 = J22^2 >= 0, contradiction", 2, 2,
-                  lambda V: V["J22"] ** 2),
+                  lambda c: c.v("J22") ** 2),
             )),
-        NBranch(
+        Branch(
             "J51 nonzero", assume=("J61", "J62"),
             steps=(
                 N("f3(N(f1,f3))", 1, 3, 3,
-                  lambda V: V["J31"] * V["J51"],
+                  lambda c: c.v("J31") * c.v("J51"),
                   ("J31", 0)),
                 N("f1(N(f1,f2))", 1, 2, 1,
-                  lambda V: -(V["J51"] * V["J32"])),
+                  lambda c: -(c.v("J51") * c.v("J32"))),
                 N("f1(N(f1,f3))", 1, 3, 1,
-                  lambda V: V["J51"] * (V["J11"] - V["J33"])),
+                  lambda c: c.v("J51") * (c.v("J11") - c.v("J33"))),
                 N("f5(N(f1,f3))", 1, 3, 5,
-                  lambda V: V["J51"] * (V["J51"] - V["J63"]),
-                  ("J32", 0), ("J33", lambda V: V["J11"]),
-                  ("J63", lambda V: V["J51"])),
+                  lambda c: c.v("J51") * (c.v("J51") - c.v("J63")),
+                  ("J32", 0), ("J33", lambda c: c.v("J11")),
+                  ("J63", lambda c: c.v("J51"))),
                 N("f4(N(f2,f5))", 2, 5, 4,
-                  lambda V: -(V["J42"] ** 2)),
+                  lambda c: -(c.v("J42") ** 2)),
                 N("f4(N(f1,f3))", 1, 3, 4,
-                  lambda V: -(V["J41"] * V["J51"]),
+                  lambda c: -(c.v("J41") * c.v("J51")),
                   ("J41", 0), ("J42", 0)),
                 N("f1(N(f1,f5))", 1, 5, 1,
-                  lambda V: -(V["J35"] * V["J51"])),
+                  lambda c: -(c.v("J35") * c.v("J51"))),
                 N("f2(N(f1,f5))", 1, 5, 2,
-                  lambda V: -(2 * V["J21"] * V["J65"] + V["J45"] * V["J51"])),
+                  lambda c: -(2 * c.v("J21") * c.v("J65") + c.v("J45") * c.v("J51"))),
                 N("f5(N(f1,f5))", 1, 5, 5,
-                  lambda V: -(V["J65"] * V["J51"]),
+                  lambda c: -(c.v("J65") * c.v("J51")),
                   ("J35", 0), ("J45", 0), ("J65", 0)),
                 N("f1(N(f2,f3))", 2, 3, 1,
-                  lambda V: 2 * V["J51"] * V["J12"],
+                  lambda c: 2 * c.v("J51") * c.v("J12"),
                   ("J12", 0)),
                 N("f5(N(f2,f3))", 2, 3, 5,
-                  lambda V: 2 * V["J52"] * V["J51"],
+                  lambda c: 2 * c.v("J52") * c.v("J51"),
                   ("J52", 0)),
                 Q("(J^2)_11 contradiction", 1, 1,
-                  lambda V: V["J11"] ** 2 + V["J15"] * V["J51"]),
+                  lambda c: c.v("J11") ** 2 + c.v("J15") * c.v("J51")),
             )),
-        NBranch(
+        Branch(
             "J52 nonzero", assume=("J51", "J61", "J62"),
             steps=(
                 N("f1(N(f1,f2))", 1, 2, 1,
-                  lambda V: V["J31"] * V["J52"]),
+                  lambda c: c.v("J31") * c.v("J52")),
                 N("f2(N(f1,f2))", 1, 2, 2,
-                  lambda V: V["J41"] * V["J52"],
+                  lambda c: c.v("J41") * c.v("J52"),
                   ("J31", 0), ("J41", 0)),
                 N("f5(N(f1,f6))", 1, 6, 5,
-                  lambda V: V["J52"] * V["J21"],
+                  lambda c: c.v("J52") * c.v("J21"),
                   ("J21", 0)),
                 Q("(J^2)_11 = J11^2 >= 0, contradiction", 1, 1,
-                  lambda V: V["J11"] ** 2),
+                  lambda c: c.v("J11") ** 2),
             )),
-        NBranch(
+        Branch(
             "J41 nonzero (rational pivot)",
             assume=("J51", "J52", "J61", "J62"),
             pivots=({"J41": F(1)}, {"J41": F(-2)}, {"J41": F(1, 3)}),
             steps=(
                 N("f4(N(f1,f3))", 1, 3, 4,
-                  lambda V: -2 * V["J41"] * V["J63"],
+                  lambda c: -2 * c.v("J41") * c.v("J63"),
                   ("J63", 0)),
                 N("f2(N(f1,f3))", 1, 3, 2,
-                  lambda V: V["J41"] * V["J53"],
+                  lambda c: c.v("J41") * c.v("J53"),
                   ("J53", 0)),
                 N("f5(N(f1,f6))", 1, 6, 5,
-                  lambda V: V["J54"] * V["J41"]),
+                  lambda c: c.v("J54") * c.v("J41")),
                 N("f4(N(f1,f4))", 1, 4, 4,
-                  lambda V: -2 * V["J64"] * V["J41"]),
+                  lambda c: -2 * c.v("J64") * c.v("J41")),
                 N("f3(N(f1,f5))", 1, 5, 3,
-                  lambda V: -(V["J31"] ** 2) - V["J32"] * V["J41"]),
+                  lambda c: -(c.v("J31") ** 2) - c.v("J32") * c.v("J41")),
                 N("f4(N(f1,f5))", 1, 5, 4,
-                  lambda V: -(V["J41"]
-                              * (V["J31"] + V["J42"] + 2 * V["J65"])),
+                  lambda c: -(c.v("J41")
+                              * (c.v("J31") + c.v("J42") + 2 * c.v("J65"))),
                   ("J54", 0), ("J64", 0),
-                  ("J32", lambda V: -(V["J31"] ** 2) * _inv_gr(V["J41"])),
-                  ("J42", lambda V: -V["J31"] - 2 * V["J65"])),
+                  ("J32", lambda c: -(c.v("J31") ** 2) * c.v("J41").inverse()),
+                  ("J42", lambda c: -c.v("J31") - 2 * c.v("J65"))),
                 N("f3(N(f2,f5))", 2, 5, 3,
-                  lambda V: -4 * V["J31"] ** 2 * V["J65"] * _inv_gr(V["J41"]),
+                  lambda c: -4 * c.v("J31") ** 2 * c.v("J65") * c.v("J41").inverse(),
                   ("J31", 0)),
                 N("f4(N(f2,f5)) = -4 J65^2, but (J^2)_55 < 0 needs J65 != 0",
-                  2, 5, 4, lambda V: -4 * V["J65"] ** 2),
+                  2, 5, 4, lambda c: -4 * c.v("J65") ** 2),
             )),
-        NBranch(
+        Branch(
             "all pivots zero",
             assume=("J41", "J51", "J52", "J61", "J62"),
             steps=(
                 N("f3(N(f1,f5))", 1, 5, 3,
-                  lambda V: -(V["J31"] ** 2),
+                  lambda c: -(c.v("J31") ** 2),
                   ("J31", 0)),
                 N("f4(N(f2,f5))", 2, 5, 4,
-                  lambda V: -(V["J42"] ** 2),
+                  lambda c: -(c.v("J42") ** 2),
                   ("J42", 0)),
-                NStep("f1(N(f1,f6)) - (J^2)_11 = -2 J11^2 - 1, but N = 0 "
-                      "and J^2 = -Id force the value 1",
-                      ("N-J2", 1, 6, 1, 1, 1),
-                      lambda V: -2 * V["J11"] ** 2 - 1),
+                Step("f1(N(f1,f6)) - (J^2)_11 = -2 J11^2 - 1, but N = 0 "
+                     "and J^2 = -Id force the value 1",
+                     lambda c: c.n(1, 6, 1) - c.j2(1, 1),
+                     lambda c: -2 * c.v("J11") ** 2 - 1),
             )),
     )
 
@@ -1112,105 +1091,105 @@ def _rows_nijenhuis() -> list:
 
     # ---- merged family with nilradical n5.2 -------------------------------
     f2 = (
-        NBranch(
+        Branch(
             "J61 nonzero",
             steps=(
                 N("f5(N(f1,f2))", 1, 2, 5,
-                  lambda V: -2 * V["J52"] * V["J61"]),
+                  lambda c: -2 * c.v("J52") * c.v("J61")),
                 N("f6(N(f1,f2))", 1, 2, 6,
-                  lambda V: -2 * V["J62"] * V["J61"],
+                  lambda c: -2 * c.v("J62") * c.v("J61"),
                   ("J52", 0), ("J62", 0)),
                 N("f4(N(f2,f3))", 2, 3, 4,
-                  lambda V: V["J42"] ** 2,
+                  lambda c: c.v("J42") ** 2,
                   ("J42", 0)),
                 N("f3(N(f1,f2))", 1, 2, 3,
-                  lambda V: -(V["J32"] * V["J61"])),
+                  lambda c: -(c.v("J32") * c.v("J61"))),
                 N("f6(N(f2,f6))", 2, 6, 6,
-                  lambda V: -(V["J12"] * V["J61"]),
+                  lambda c: -(c.v("J12") * c.v("J61")),
                   ("J12", 0), ("J32", 0)),
                 Q("(J^2)_22 = J22^2 >= 0, contradiction", 2, 2,
-                  lambda V: V["J22"] ** 2),
+                  lambda c: c.v("J22") ** 2),
             )),
-        NBranch(
+        Branch(
             "J62 nonzero", assume=("J61",),
             steps=(
                 N("f4(N(f1,f2))", 1, 2, 4,
-                  lambda V: -2 * V["J41"] * V["J62"],
+                  lambda c: -2 * c.v("J41") * c.v("J62"),
                   ("J41", 0)),
                 N("f5(N(f1,f3))", 1, 3, 5,
-                  lambda V: V["J51"] ** 2,
+                  lambda c: c.v("J51") ** 2,
                   ("J51", 0)),
                 N("f3(N(f1,f2))", 1, 2, 3,
-                  lambda V: -(V["J31"] * V["J62"])),
+                  lambda c: -(c.v("J31") * c.v("J62"))),
                 N("f6(N(f1,f6))", 1, 6, 6,
-                  lambda V: V["J21"] * V["J62"],
+                  lambda c: c.v("J21") * c.v("J62"),
                   ("J21", 0), ("J31", 0)),
                 Q("(J^2)_11 = J11^2 >= 0, contradiction", 1, 1,
-                  lambda V: V["J11"] ** 2),
+                  lambda c: c.v("J11") ** 2),
             )),
-        NBranch(
+        Branch(
             "J63 nonzero", assume=("J61", "J62"),
             steps=(
                 N("f6(N(f1,f4))", 1, 4, 6,
-                  lambda V: V["J51"] * V["J63"]),
+                  lambda c: c.v("J51") * c.v("J63")),
                 N("f6(N(f1,f5))", 1, 5, 6,
-                  lambda V: -(V["J41"] * V["J63"]),
+                  lambda c: -(c.v("J41") * c.v("J63")),
                   ("J41", 0), ("J51", 0)),
                 N("f3(N(f1,f3))", 1, 3, 3,
-                  lambda V: -(V["J31"] * V["J63"]),
+                  lambda c: -(c.v("J31") * c.v("J63")),
                   ("J31", 0)),
                 N("f2(N(f1,f3))", 1, 3, 2,
-                  lambda V: -2 * V["J21"] * V["J63"],
+                  lambda c: -2 * c.v("J21") * c.v("J63"),
                   ("J21", 0)),
                 Q("(J^2)_11 = J11^2 >= 0, contradiction", 1, 1,
-                  lambda V: V["J11"] ** 2),
+                  lambda c: c.v("J11") ** 2),
             )),
-        NBranch(
+        Branch(
             "J64 nonzero", assume=("J61", "J62", "J63"),
             steps=(
                 N("f6(N(f4,f5))", 4, 5, 6,
-                  lambda V: 2 * V["J64"] * V["J65"],
+                  lambda c: 2 * c.v("J64") * c.v("J65"),
                   ("J65", 0)),
                 N("f6(N(f1,f6))", 1, 6, 6,
-                  lambda V: V["J41"] * V["J64"]),
+                  lambda c: c.v("J41") * c.v("J64")),
                 N("f6(N(f2,f6))", 2, 6, 6,
-                  lambda V: V["J42"] * V["J64"]),
+                  lambda c: c.v("J42") * c.v("J64")),
                 N("f6(N(f3,f6))", 3, 6, 6,
-                  lambda V: V["J43"] * V["J64"]),
+                  lambda c: c.v("J43") * c.v("J64")),
                 N("f6(N(f5,f6))", 5, 6, 6,
-                  lambda V: V["J45"] * V["J64"],
+                  lambda c: c.v("J45") * c.v("J64"),
                   ("J41", 0), ("J42", 0), ("J43", 0), ("J45", 0)),
                 N("f5(N(f1,f3))", 1, 3, 5,
-                  lambda V: V["J51"] ** 2,
+                  lambda c: c.v("J51") ** 2,
                   ("J51", 0)),
                 N("f3(N(f1,f5))", 1, 5, 3,
-                  lambda V: -(V["J31"] ** 2),
+                  lambda c: -(c.v("J31") ** 2),
                   ("J31", 0)),
                 N("f2(N(f1,f4))", 1, 4, 2,
-                  lambda V: -2 * V["J21"] * V["J64"],
+                  lambda c: -2 * c.v("J21") * c.v("J64"),
                   ("J21", 0)),
                 Q("(J^2)_11 = J11^2 >= 0, contradiction", 1, 1,
-                  lambda V: V["J11"] ** 2),
+                  lambda c: c.v("J11") ** 2),
             )),
-        NBranch(
+        Branch(
             "J65 nonzero (forced by (J^2)_66 = J66^2 + J56 J65 < 0)",
             assume=("J61", "J62", "J63", "J64"),
             steps=(
-                Q("(J^2)_61", 6, 1, lambda V: V["J51"] * V["J65"]),
-                Q("(J^2)_62", 6, 2, lambda V: V["J52"] * V["J65"]),
-                Q("(J^2)_63", 6, 3, lambda V: V["J53"] * V["J65"]),
-                Q("(J^2)_64", 6, 4, lambda V: V["J54"] * V["J65"],
+                Q("(J^2)_61", 6, 1, lambda c: c.v("J51") * c.v("J65")),
+                Q("(J^2)_62", 6, 2, lambda c: c.v("J52") * c.v("J65")),
+                Q("(J^2)_63", 6, 3, lambda c: c.v("J53") * c.v("J65")),
+                Q("(J^2)_64", 6, 4, lambda c: c.v("J54") * c.v("J65"),
                   ("J51", 0), ("J52", 0), ("J53", 0), ("J54", 0)),
                 N("f4(N(f2,f3))", 2, 3, 4,
-                  lambda V: V["J42"] ** 2),
+                  lambda c: c.v("J42") ** 2),
                 N("f3(N(f2,f4))", 2, 4, 3,
-                  lambda V: -(V["J32"] ** 2),
+                  lambda c: -(c.v("J32") ** 2),
                   ("J32", 0), ("J42", 0)),
                 N("f1(N(f2,f5))", 2, 5, 1,
-                  lambda V: 2 * V["J12"] * V["J65"],
+                  lambda c: 2 * c.v("J12") * c.v("J65"),
                   ("J12", 0)),
                 Q("(J^2)_22 = J22^2 >= 0, contradiction", 2, 2,
-                  lambda V: V["J22"] ** 2),
+                  lambda c: c.v("J22") ** 2),
             )),
     )
 
@@ -1224,10 +1203,6 @@ def _rows_nijenhuis() -> list:
         steps=f2))
 
     return rows
-
-
-def _inv_gr(x):
-    return GaussianRational.coerce(x).inverse()
 
 
 # ---------------------------------------------------------------------------

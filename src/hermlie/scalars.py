@@ -226,14 +226,6 @@ class PolyRing:
     def one(self) -> "Poly":
         return self.constant(1)
 
-    def re_part(self, name: str) -> "Poly":
-        """(z + conj z)/2 for a complex variable z."""
-        return (self.var(name) + self.var(name + "~")) * GaussianRational(Fraction(1, 2))
-
-    def im_part(self, name: str) -> "Poly":
-        """(z - conj z)/(2i)."""
-        return (self.var(name) - self.var(name + "~")) * GaussianRational(0, Fraction(-1, 2))
-
     def norm_sq(self, name: str) -> "Poly":
         """z * conj z."""
         return self.var(name) * self.var(name + "~")
@@ -420,3 +412,13 @@ def conj_scalar(s):
     if isinstance(s, (int, float, Fraction)):
         return s
     raise TypeError(f"cannot conjugate {type(s).__name__}")
+
+
+def re_part(x):
+    """Real part (x + conj x)/2 of an exact scalar or a polynomial."""
+    return (x + conj_scalar(x)) * GaussianRational(Fraction(1, 2))
+
+
+def im_part(x):
+    """Imaginary part (x - conj x)/(2i) of an exact scalar or a polynomial."""
+    return (x - conj_scalar(x)) * GaussianRational(0, Fraction(-1, 2))

@@ -423,15 +423,15 @@ class _MetricResidual:
         A = np.stack([self._value(m, p) for m in self._mu], axis=1)
         A = np.concatenate([A.real, A.imag])
         b = np.concatenate([target.real, target.imag])
-        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+        # A^+ = V S^-1 U^T over the singular values above lstsq's default cutoff
+        u, sv, vt = np.linalg.svd(A, full_matrices=False)
+        keep = sv > np.finfo(float).eps * max(A.shape) * sv[0]
+        u, sv, vt = u[:, keep], sv[keep], vt[keep]
+        sol = vt.T @ ((u.T @ b) / sv)
         resid = b - A @ sol
         dA = self._slope(self._dmu, p)
         dA = np.concatenate([dA.real, dA.imag])
         db = np.concatenate([slope.real, slope.imag])
-        # A^+ = V S^-1 U^T over the singular values lstsq keeps
-        u, sv, vt = np.linalg.svd(A, full_matrices=False)
-        keep = sv > np.finfo(float).eps * max(A.shape) * sv[0]
-        u, sv, vt = u[:, keep], sv[keep], vt[keep]
         off = db - np.einsum("zis,i->zs", dA, sol)
         back = vt @ np.einsum("zis,z->is", dA, resid)
         return resid, off - u @ (u.T @ off) - u @ (back / sv[:, None])

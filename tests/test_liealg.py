@@ -59,6 +59,12 @@ class TestParsing:
         w = parse_form("f12+4f34-f56")
         assert w.coeff(3, 4) == 4 and w.coeff(5, 6) == -1
 
+    def test_chained_powers_read_alike_in_terms_and_scalars(self):
+        # powers associate to the left, in a term's coefficient and in a scalar
+        assert parse_form("2^2^2f1", degree=1) == parse_form("16f1", degree=1)
+        assert parse_scalar("2^2^2") == parse_scalar("16") == 16
+        assert parse_form("2/3^2^2f1", degree=1) == parse_form("2/81f1", degree=1)
+
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_structure_equations("(0, 0, 0)")  # wrong entry count

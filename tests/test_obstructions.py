@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 
 from hermlie.obstructions import (
+    Branch,
     ObstructionRow,
     Step,
     obstruction_table,
@@ -81,3 +82,44 @@ class TestReplay:
         for r in obstruction_table(condition="complex"):
             covered |= set(r.algebra.split("|"))
         assert covered == {"s6.140^-1", "s6.146^-1", "s6.151", "s6.155^1"}
+
+    def test_nijenhuis_runs_count_contexts_times_branches(self):
+        runs = {r.algebra: replay_obstruction_row(r)["runs"]
+                for r in obstruction_table(condition="complex")}
+        assert runs == {"s6.140^-1|s6.146^-1": 12, "s6.151|s6.155^1": 10}
+
+
+def _nijenhuis_branches():
+    return [pytest.param(row, branch, id=f"{row.algebra}:{branch.label}")
+            for row in obstruction_table(condition="complex")
+            for branch in row.steps]
+
+
+@pytest.mark.parametrize("row,branch", _nijenhuis_branches())
+def test_tampered_nijenhuis_branch_is_rejected(row, branch):
+    assert isinstance(branch, Branch)
+    alone = dataclasses.replace(row, steps=(branch,))
+    assert replay_obstruction_row(alone)["runs"] == len(row.samples)
+    last = branch.steps[-1]
+    bad = dataclasses.replace(last, expected=lambda c: last.expected(c) + 1)
+    tampered = dataclasses.replace(branch, steps=branch.steps[:-1] + (bad,))
+    with pytest.raises(AssertionError):
+        replay_obstruction_row(dataclasses.replace(row, steps=(tampered,)))
+
+
+def _pivot_cases():
+    return [pytest.param(row, branch, pivot, id=f"{branch.label}:{pivot}")
+            for row in obstruction_table(condition="complex")
+            for branch in row.steps for pivot in branch.pivots]
+
+
+@pytest.mark.parametrize("row,branch,pivot", _pivot_cases())
+def test_every_pivot_is_replayed(row, branch, pivot):
+    # a last step that is wrong at this pivot only must still be caught
+    (name, value), = pivot.items()
+    last = branch.steps[-1]
+    bad = dataclasses.replace(
+        last, expected=lambda c: last.expected(c) + (1 if c.v(name) == value else 0))
+    tampered = dataclasses.replace(branch, steps=branch.steps[:-1] + (bad,))
+    with pytest.raises(AssertionError):
+        replay_obstruction_row(dataclasses.replace(row, steps=(tampered,)))

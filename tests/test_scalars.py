@@ -17,6 +17,8 @@ from hermlie.scalars import (
     Poly,
     PolyRing,
     conj_scalar,
+    im_part,
+    re_part,
 )
 from tests.conftest import gaussian_rationals, nonzero_gaussian_rationals
 
@@ -85,8 +87,20 @@ class TestPolyRing:
     def test_re_im_norm_identities(self):
         r = self.ring()
         z = r.var("z")
-        assert r.re_part("z") + GR_I * r.im_part("z") == z
+        assert re_part(z) + GR_I * im_part(z) == z
         assert r.norm_sq("z") == z * z.conj()
+
+    def test_re_im_parts(self):
+        a = GaussianRational(Fraction(3, 4), Fraction(-5, 2))
+        assert re_part(a) == GaussianRational(Fraction(3, 4))
+        assert im_part(a) == GaussianRational(Fraction(-5, 2))
+        assert re_part(7) == 7 and im_part(7) == 0
+        r = self.ring()
+        z = r.var("z")
+        half = GaussianRational(Fraction(1, 2))
+        assert re_part(z) == (z + r.var("z~")) * half
+        assert im_part(z) == (z - r.var("z~")) * (-GR_I * half)
+        assert re_part(r.var("x")) == r.var("x") and not im_part(r.var("x"))
 
     def test_cross_ring_arithmetic_rejected(self):
         r1, r2 = self.ring(), self.ring()
