@@ -9,9 +9,10 @@ each checkout: the base first on odd seeds, the head first on even ones.  It
 keeps each run's result line (the last line of the output) and the
 environment from the report before it.  The output file records, per
 workload, every run, each side's median and interquartile range of every
-end-to-end metric, and in how many seed pairs the head's ``wall_ref_s`` was
-lower.  It is rewritten after every run, so an interrupted session keeps the
-runs it finished.
+end-to-end metric, and, per metric, in how many seed pairs the head's value
+was lower (every end-to-end metric of the benchmark is better lower).  It is
+rewritten after every run, so an interrupted session keeps the runs it
+finished.
 """
 from __future__ import annotations
 
@@ -59,11 +60,15 @@ def summary(runs: list) -> dict:
     return out
 
 
-def head_wins(runs: dict) -> int:
-    base = {r["seed"]: r["metrics"]["wall_ref_s"] for r in runs["base"] if "metrics" in r}
-    return sum(1 for r in runs["head"]
-               if "metrics" in r and r["seed"] in base
-               and r["metrics"]["wall_ref_s"] < base[r["seed"]])
+def head_wins(runs: dict) -> dict:
+    """Per metric, the number of seed pairs in which the head's value was lower."""
+    base = {r["seed"]: r["metrics"] for r in runs["base"] if "metrics" in r}
+    wins = {}
+    for r in runs["head"]:
+        if "metrics" in r and r["seed"] in base:
+            for name, value in r["metrics"].items():
+                wins[name] = wins.get(name, 0) + (value < base[r["seed"]][name])
+    return wins
 
 
 def main(argv=None) -> int:
@@ -93,7 +98,7 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
                 bench["workloads"][workload] = {
                     "median_iqr": {s: summary(runs[s]) for s in SIDES},
-                    "head_wins_wall_ref_s": head_wins(runs),
+                    "head_wins": head_wins(runs),
                     "runs": runs,
                 }
                 args.out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")

@@ -657,12 +657,7 @@ def example_structures(name: str) -> list[ExampleStructure]:
 def verify_entry(entry: CatalogEntry) -> dict:
     """Structural integrity of one entry: Jacobi for every presentation,
     solvable, non-nilpotent, strongly unimodular, certified nilradical."""
-    from .liealg import (
-        is_nilpotent,
-        is_solvable,
-        is_strongly_unimodular,
-        verify_nilradical,
-    )
+    from .liealg import is_solvable, is_strongly_unimodular, verify_nilradical
     from .scalars import GR_ONE, GR_ZERO
 
     report = {"name": entry.name}
@@ -674,7 +669,7 @@ def verify_entry(entry: CatalogEntry) -> dict:
         report[label] = {
             "jacobi": jacobi_holds(g),
             "solvable": is_solvable(g),
-            "nilpotent": is_nilpotent(g),
+            "nilpotent": nr["algebra_nilpotent"],
             "strongly_unimodular": is_strongly_unimodular(g, nil_basis),
             "nilradical_certified": nr["certified_nilradical"],
         }

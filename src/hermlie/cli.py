@@ -13,6 +13,7 @@ IO, or schema error.  Every input error is raised as ``_SchemaError``, and
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -126,13 +127,48 @@ def _entry(name: str):
 # verify-catalog
 # ---------------------------------------------------------------------------
 
-def _examples_from_file(path: str) -> list:
+def _example_from_json(row, where: str) -> ExampleStructure:
+    """The example that a ``check`` input or a ``verify-catalog FILE`` row
+    describes.  ``equations`` may be left out when ``algebra`` names a catalog
+    entry.  Every expression is parsed here, so a malformed row raises
+    ``_SchemaError`` with ``where`` in its message."""
     from .liealg import parse_scalar
 
     try:
+        if not isinstance(row, dict):
+            raise TypeError("expected a JSON object")
+        params = row.get("params") or {}
+        j_images = row.get("j_images") or {}
+        if not isinstance(params, dict) or not isinstance(j_images, dict):
+            raise TypeError("'params' and 'j_images' must be JSON objects")
+        ex = ExampleStructure(
+            algebra=row.get("algebra", "input"),
+            conditions=tuple(row.get("conditions", ())),
+            equations=row.get("equations") or get_entry(row["algebra"]).equations,
+            params={k: parse_scalar(str(v)) for k, v in params.items()},
+            constraint=row.get("constraint", ""),
+            j_images={int(k): v for k, v in j_images.items()} or None,
+            j_matrix=row.get("j_matrix"),
+            omega=row.get("omega", ""),
+            mu=row.get("mu"),
+        )
+        ex.algebra_instance()
+        ex.j()
+        ex.mu_form()
+        if ex.omega:
+            ex.omega_form()
+        for cond in ex.conditions:
+            if cond not in CHECKERS:
+                raise ValueError(f"unknown condition {cond!r}")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+        raise _SchemaError(f"{where}: {err}") from None
+    return ex
+
+
+def _examples_from_file(path: str) -> list:
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-        data = json.loads(raw)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise _SchemaError(f"cannot read catalog file: {err}")
     if not isinstance(data, dict) or "examples" not in data:
@@ -140,36 +176,8 @@ def _examples_from_file(path: str) -> list:
     examples = data["examples"]
     if not isinstance(examples, list) or not examples:
         raise _SchemaError("catalog file has no examples")
-    out = []
-    for i, row in enumerate(examples):
-        try:
-            params = {k: parse_scalar(str(v)) for k, v in (row.get("params") or {}).items()}
-            j_images = ({int(k): v for k, v in row["j_images"].items()}
-                        if row.get("j_images") else None)
-            ex = ExampleStructure(
-                algebra=row["algebra"],
-                conditions=tuple(row.get("conditions", ())),
-                equations=row["equations"],
-                params=params,
-                constraint=row.get("constraint", ""),
-                j_images=j_images,
-                j_matrix=row.get("j_matrix"),
-                omega=row.get("omega", ""),
-                mu=row.get("mu"),
-            )
-            # parse every expression of the row now, so a malformed one exits 2
-            ex.algebra_instance()
-            ex.j()
-            ex.mu_form()
-            if ex.omega:
-                ex.omega_form()
-            for cond in ex.conditions:
-                if cond not in CHECKERS:
-                    raise ValueError(f"unknown condition {cond!r}")
-            out.append(ex)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
-            raise _SchemaError(f"bad example row {i}: {err}")
-    return out
+    return [_example_from_json(row, f"bad example row {i}")
+            for i, row in enumerate(examples)]
 
 
 class _SchemaError(Exception):
@@ -248,36 +256,16 @@ def cmd_verify_catalog(args, manifest: RunManifest) -> int:
 def cmd_check(args, manifest: RunManifest) -> int:
     from .cpx import Complexification, is_integrable, nijenhuis, squares_to_minus_id
     from .herm import is_positive_real
-    from .liealg import parse_scalar
 
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise _SchemaError(f"cannot read input file: {err}") from None
-    try:
-        if "algebra" in data:
-            entry = get_entry(data["algebra"])
-            equations = data.get("equations") or entry.equations
-        else:
-            equations = data["equations"]
-        params = {k: parse_scalar(str(v)) for k, v in (data.get("params") or {}).items()}
-        ex = ExampleStructure(
-            algebra=data.get("algebra", "input"),
-            conditions=(),
-            equations=equations,
-            params=params,
-            j_images=({int(k): v for k, v in data["j_images"].items()}
-                      if data.get("j_images") else None),
-            j_matrix=data.get("j_matrix"),
-            omega=data.get("omega", ""),
-            mu=data.get("mu"),
-        )
-        g = ex.algebra_instance()
-        J = ex.j()
-        om_real = ex.omega_form() if ex.omega else None
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
-        raise _SchemaError(f"bad input schema: {err}") from None
+    ex = _example_from_json(data, "bad input schema")
+    g = ex.algebra_instance()
+    J = ex.j()
+    om_real = ex.omega_form() if ex.omega else None
 
     report = {"algebra": ex.algebra, "J_squares_to_minus_id": squares_to_minus_id(J)}
     integrable = is_integrable(g, J)
@@ -404,7 +392,7 @@ def cmd_obstruction(args, manifest: RunManifest) -> int:
                   f"conclusion={row.conclusion}: "
                   f"{'replayed exactly' if rep['ok'] else 'FAILED'} "
                   f"({rep['runs']} runs, "
-                  f"{len(rep['steps']) if isinstance(rep['steps'], (list, tuple)) else rep['steps']} steps)")
+                  f"{len(rep['steps'])} steps)")
         print(manifest.footer())
     return 0 if ok else 1
 
@@ -465,10 +453,10 @@ def cmd_report_table(args, manifest: RunManifest) -> int:
         _emit_json(_jsonable(result), manifest)
         return 0 if result["ok"] else 1
     if args.csv:
-        print("algebra," + ",".join(conds))
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(["algebra", *conds])
         for row in result["rows"]:
-            print(row["algebra"] + "," +
-                  ",".join(row["cells"][c]["status"] for c in conds))
+            out.writerow([row["algebra"], *(row["cells"][c]["status"] for c in conds)])
         return 0 if result["ok"] else 1
 
     print(manifest.header())

@@ -303,15 +303,29 @@ def check_first_gauduchon(cx: Complexification, omega: Form) -> ConditionReport:
                            certificate={"top_coefficient": repr(c)})
 
 
+def strongly_gauduchon_columns(frame: ComplexFrame) -> list[Form]:
+    """dbar beta for the (3,1)-forms beta = a^{123 conjk}: strongly Gauduchon
+    asks for a combination equal to del omega^2."""
+    return [frame.dbar(Form(6, 4, {(1, 2, 3, _bar(k)): GR_ONE})) for k in (1, 2, 3)]
+
+
+def tamed_columns(frame: ComplexFrame) -> list[Form]:
+    """d beta for the (2,0)-forms beta = a^{12}, a^{13}, a^{23}: tamed asks
+    for a combination whose (2,1) part dbar beta is del omega and whose (3,0)
+    part del beta vanishes; the two parts sit on disjoint monomials."""
+    cols = []
+    for key in ((1, 2), (1, 3), (2, 3)):
+        db = frame.d(Form(6, 2, {key: GR_ONE}))
+        cols.append(frame.project(db, 2, 1) + frame.project(db, 3, 0))
+    return cols
+
+
 def check_strongly_gauduchon(cx: Complexification, omega: Form) -> ConditionReport:
     """del(omega^2) is dbar-exact: solve dbar beta = del omega^2 with beta a
     (3,1)-form."""
     frame = cx.frame
-    om2 = omega.wedge(omega)
-    target = frame.project(frame.d(om2), 3, 2)
-    betas = [Form(6, 4, {(1, 2, 3, _bar(k)): GR_ONE}) for k in (1, 2, 3)]
-    cols = [frame.project(frame.d(b), 3, 2) for b in betas]
-    sol = linalg.solve(*_system(cols, target))
+    target = frame.project(frame.d(omega.wedge(omega)), 3, 2)
+    sol = linalg.solve(*_system(strongly_gauduchon_columns(frame), target))
     cert = {}
     if sol is not None:
         cert = {"beta_coefficients": [repr(c) for c in sol]}
@@ -326,14 +340,7 @@ def check_tamed(cx: Complexification, omega: Form) -> ConditionReport:
     """
     frame = cx.frame
     del_om = frame.project(frame.d(omega), 2, 1)
-    betas = [Form(6, 2, {key: GR_ONE}) for key in ((1, 2), (1, 3), (2, 3))]
-    # one column per beta: the (2,1) part of d beta must match del omega
-    # and its (3,0) part must vanish; the two monomial sets are disjoint
-    cols = []
-    for b in betas:
-        db = frame.d(b)
-        cols.append(frame.project(db, 2, 1) + frame.project(db, 3, 0))
-    sol = linalg.solve(*_system(cols, del_om))
+    sol = linalg.solve(*_system(tamed_columns(frame), del_om))
     return ConditionReport(
         "tamed", sol is not None,
         certificate={"beta_coefficients": [repr(c) for c in sol]} if sol is not None else {},

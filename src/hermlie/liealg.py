@@ -12,13 +12,21 @@ written in the usual shorthand tuple notation, e.g.::
 
 with optional symbolic coefficients resolved through a parameter binding,
 e.g. ``"(pf16+f26, ...)"`` with ``{"p": Fraction(1, 2)}``.
+
+The structural predicates work in the ambient basis of g.  Every subspace is
+kept as its reduced-echelon basis (:func:`span_basis`), in which a vector's
+coordinates are its entries at the pivot columns, so membership and
+coordinates need no solve.  One descending-series loop gives the lower
+central series of g, the series n^{k+1} = [n, n^k] of an ideal n and the
+derived series.  Each n^k is an ideal of g, so the trace of ad_X on the
+quotient n^k / n^{k+1} is tr(ad_X|n^k) - tr(ad_X|n^{k+1}), and strong
+unimodularity asks that tr(ad_X|n^k) vanish on every layer.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
 import re
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
@@ -333,30 +341,6 @@ def print_structure_equations(g: LieAlgebra) -> str:
     return "(" + ", ".join(entries) + ")"
 
 
-def to_json(g: LieAlgebra) -> str:
-    d = []
-    for df in g.d1:
-        entry = []
-        for (j, k) in sorted(df.coeffs):
-            c = GaussianRational.coerce(df.coeffs[(j, k)])
-            entry.append([[j, k], _coeff_str(c)])
-        d.append(entry)
-    payload = {"dim": g.dim, "d": d}
-    if g.name:
-        payload["name"] = g.name
-    return json.dumps(payload)
-
-
-def from_json(text: str) -> LieAlgebra:
-    payload = json.loads(text)
-    dim = payload["dim"]
-    d1 = []
-    for entry in payload["d"]:
-        coeffs = {tuple(idx): GaussianRational(Fraction(c)) for idx, c in entry}
-        d1.append(Form(dim, 2, coeffs))
-    return LieAlgebra(dim, d1, name=payload.get("name"))
-
-
 # ---------------------------------------------------------------------------
 # subspaces and structural predicates
 
@@ -364,15 +348,30 @@ Subspace = list  # list of vectors (components in f_1..f_dim)
 
 
 def span_basis(vectors: Sequence[Sequence]) -> Subspace:
-    """Row-reduce a spanning set to a canonical basis."""
+    """Row-reduce a spanning set to its reduced-echelon basis."""
     if not vectors:
         return []
     r, pivots = linalg.rref(vectors)
     return [r[i] for i in range(len(pivots))]
 
 
+def _coordinates(basis: Subspace, v: Sequence) -> Optional[list]:
+    """Coordinates of v in a reduced-echelon basis, or None if v is outside
+    its span: they are v's entries at the pivot columns, and v is in the span
+    exactly when they rebuild its other entries too."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    coords = [v[p] for p in pivots]
+    for j, x in enumerate(v):
+        if j not in pivots and x != sum(
+                (c * row[j] for c, row in zip(coords, basis) if c and row[j]), GR_ZERO):
+            return None
+    return coords
+
+
 def bracket_span(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    vecs = [g.bracket(u, v) for u in a for v in b]
+    # [a, a] is spanned by the brackets of distinct pairs, by antisymmetry
+    pairs = itertools.combinations(a, 2) if a is b else itertools.product(a, b)
+    vecs = [g.bracket(u, v) for u, v in pairs]
     return span_basis([v for v in vecs if any(v)])
 
 
@@ -380,28 +379,26 @@ def full_space(g: LieAlgebra) -> Subspace:
     return linalg.identity(g.dim)
 
 
-def lower_central_series(g: LieAlgebra) -> list[Subspace]:
-    """g^0 = g, g^{k+1} = [g, g^k]; stops when stationary."""
-    series = [full_space(g)]
-    while True:
-        nxt = bracket_span(g, full_space(g), series[-1])
-        if len(nxt) == len(series[-1]):
+def _descending_series(g: LieAlgebra, top: Subspace, derived: bool = False) -> list[Subspace]:
+    """top, then [top, last] (or [last, last] when ``derived``) until a term
+    is 0 or no smaller than the last, which ends the loop for any ``top``."""
+    series = [top]
+    while series[-1]:
+        last = series[-1]
+        nxt = bracket_span(g, last if derived else top, last)
+        if len(nxt) >= len(last):
             break
         series.append(nxt)
-        if not nxt:
-            break
     return series
 
+
+def lower_central_series(g: LieAlgebra) -> list[Subspace]:
+    """g^0 = g, g^{k+1} = [g, g^k]; stops when stationary."""
+    return _descending_series(g, full_space(g))
+
+
 def derived_series(g: LieAlgebra) -> list[Subspace]:
-    series = [full_space(g)]
-    while True:
-        nxt = bracket_span(g, series[-1], series[-1])
-        if len(nxt) == len(series[-1]):
-            break
-        series.append(nxt)
-        if not nxt:
-            break
-    return series
+    return _descending_series(g, full_space(g), derived=True)
 
 
 def is_nilpotent(g: LieAlgebra) -> bool:
@@ -412,63 +409,10 @@ def is_solvable(g: LieAlgebra) -> bool:
     return not derived_series(g)[-1]
 
 
-def _coordinate_positions(basis: Subspace):
-    """Indices i with basis vector e_i, or None if any vector is not one."""
-    pos = []
-    for v in basis:
-        support = [i for i, x in enumerate(v) if x]
-        if len(support) != 1 or GaussianRational.coerce(v[support[0]]) != GR_ONE:
-            return None
-        pos.append(support[0])
-    return pos if len(set(pos)) == len(pos) else None
-
-
-def restrict_to_ideal(g: LieAlgebra, basis: Subspace) -> LieAlgebra:
-    """The subalgebra spanned by ``basis`` as a Lie algebra in that basis."""
-    k = len(basis)
-    pos = _coordinate_positions(basis)
-    if pos is not None:
-        # coordinate subspace: re-index the structure equations directly
-        allowed = {p + 1 for p in pos}
-        local = {p + 1: t + 1 for t, p in enumerate(pos)}
-        for q in range(g.dim):
-            if q in pos:
-                continue
-            # a bracket of two subspace elements must have no component
-            # along any outside direction
-            if any(a in allowed and b in allowed
-                   for (a, b) in g.d1[q].coeffs):
-                raise ValueError("not closed under the bracket")
-        d1 = []
-        for p in pos:
-            kept = {
-                (local[a], local[b]): c
-                for (a, b), c in g.d1[p].coeffs.items()
-                if a in allowed and b in allowed
-            }
-            d1.append(Form(k, 2, kept))
-        return LieAlgebra(k, d1)
-    mat = linalg.transpose(basis)
-    d1 = [Form.zero(k, 2) for _ in range(k)]
-    for a in range(k):
-        for b in range(a + 1, k):
-            w = g.bracket(basis[a], basis[b])
-            coords = linalg.solve(mat, w)
-            if coords is None:
-                raise ValueError("not closed under the bracket")
-            for i in range(k):
-                if coords[i]:
-                    d1[i] = d1[i] + Form(k, 2, {(a + 1, b + 1): -coords[i]})
-    return LieAlgebra(k, d1)
-
-
 def is_ideal(g: LieAlgebra, basis: Subspace) -> bool:
-    for e in full_space(g):
-        for v in basis:
-            w = g.bracket(e, v)
-            if any(w) and not linalg.in_span(basis, w):
-                return False
-    return True
+    n = span_basis(basis)
+    return all(_coordinates(n, g.bracket(e, v)) is not None
+               for e in full_space(g) for v in n)
 
 
 def verify_nilradical(g: LieAlgebra, basis: Subspace) -> dict:
@@ -476,72 +420,40 @@ def verify_nilradical(g: LieAlgebra, basis: Subspace) -> dict:
 
     A nilpotent ideal of codimension one in a non-nilpotent solvable algebra
     is automatically the nilradical (it is contained in it, and the
-    nilradical of a non-nilpotent algebra is proper).
+    nilradical of a non-nilpotent algebra is proper).  The report also says
+    whether g itself is nilpotent, so a caller needs no second lower central
+    series.
     """
-    basis = span_basis(basis)
-    ideal = is_ideal(g, basis)
-    nilp = ideal and is_nilpotent(restrict_to_ideal(g, basis))
-    codim = g.dim - len(basis)
-    certified = ideal and nilp and codim == 1 and not is_nilpotent(g)
+    n = span_basis(basis)
+    ideal = is_ideal(g, n)
+    nilp = ideal and not _descending_series(g, n)[-1]
+    codim = g.dim - len(n)
+    g_nilpotent = is_nilpotent(g)
     return {
         "is_ideal": ideal,
         "is_nilpotent_ideal": nilp,
         "codimension": codim,
-        "certified_nilradical": certified,
+        "algebra_nilpotent": g_nilpotent,
+        "certified_nilradical": nilp and codim == 1 and not g_nilpotent,
     }
 
 
 def is_strongly_unimodular(g: LieAlgebra, nilradical: Optional[Subspace] = None) -> bool:
-    """tr(ad_X) vanishes on every quotient n^k / n^{k+1} of the nilradical."""
+    """tr(ad_X) vanishes on every quotient n^k / n^{k+1} of the nilradical.
+
+    Each n^k is an ideal, so that trace is tr(ad_X|n^k) - tr(ad_X|n^{k+1}),
+    and all of them vanish exactly when tr(ad_X|n^k) does on every layer.
+    """
     if nilradical is None:
         nilradical = find_nilradical(g)
-    n = span_basis(nilradical)
-    sub = restrict_to_ideal(g, n)
-    # lower central series of n, expressed back in the ambient basis
-    layers = [n]
-    for layer in lower_central_series(sub)[1:]:
-        amb = [
-            [sum((v[t] * n[t][i] for t in range(len(n))), GR_ZERO) for i in range(g.dim)]
-            for v in layer
-        ]
-        layers.append(span_basis(amb))
-    layers.append([])
-    # Precompute, per layer pair, a square change of basis whose inverse
-    # reads off quotient coordinates with a single matrix-vector product;
-    # the expensive exact solves then happen once instead of once per
-    # ambient direction.
-    pair_data = []
-    for k in range(len(layers) - 1):
-        modulo = span_basis(layers[k + 1])
-        complement: Subspace = []
-        for v in layers[k]:
-            if not linalg.in_span(modulo + complement, v):
-                complement.append(v)
-        if not complement:
-            continue
-        ext = list(modulo) + list(complement)
-        for i in range(g.dim):
-            e = [GR_ONE if t == i else GR_ZERO for t in range(g.dim)]
-            if len(ext) == g.dim:
-                break
-            if not linalg.in_span(ext, e):
-                ext.append(e)
-        inv = linalg.inverse(linalg.transpose(ext))
-        pair_data.append((len(modulo), len(modulo) + len(complement),
-                          complement, inv))
-    for x in full_space(g):
-        ad = linalg.coerce_matrix(g.ad_matrix(x))
-        for lo, hi, complement, inv in pair_data:
-            tr = GR_ZERO
-            for i, v in enumerate(complement):
-                w = linalg.mat_vec(ad, linalg.coerce_vector(v))
-                coords = linalg.mat_vec(inv, w)
-                if any(coords[hi:]):
-                    raise ValueError(
-                        "ad does not preserve the lower central series layer")
-                tr = tr + coords[lo + i]
-            if tr:
-                return False
+    for layer in _descending_series(g, span_basis(nilradical)):
+        # coordinates of ad_X v_i for every X, checked before any trace
+        images = [[_coordinates(layer, g.bracket(x, v)) for v in layer]
+                  for x in full_space(g)]
+        if any(c is None for row in images for c in row):
+            raise ValueError("ad does not preserve the lower central series layer")
+        if any(sum((c[i] for i, c in enumerate(row)), GR_ZERO) for row in images):
+            return False
     return True
 
 
@@ -561,6 +473,6 @@ def find_nilradical(g: LieAlgebra) -> Subspace:
             for i in range(g.dim)
             if i != drop
         ]
-        if is_ideal(g, basis) and is_nilpotent(restrict_to_ideal(g, basis)):
+        if is_ideal(g, basis) and not _descending_series(g, basis)[-1]:
             return basis
     raise ValueError("no codimension-one nilpotent ideal found")

@@ -20,20 +20,8 @@ def coerce_matrix(rows: Sequence[Sequence]) -> Matrix:
     return [[GaussianRational.coerce(x) for x in row] for row in rows]
 
 
-def coerce_vector(v: Sequence) -> Vector:
-    return [GaussianRational.coerce(x) for x in v]
-
-
 def identity(n: int) -> Matrix:
     return [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((a[i][j] * v[j] for j in range(len(v)) if v[j]), GR_ZERO) for i in range(len(a))]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
 
 
 def rref(mat: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
@@ -86,7 +74,7 @@ def nullspace(mat: Sequence[Sequence], ncols: Optional[int] = None) -> list[Vect
 def solve(mat: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
     """One particular solution of A x = b, or None if inconsistent."""
     a = coerce_matrix(mat)
-    b = coerce_vector(rhs)
+    b = [GaussianRational.coerce(x) for x in rhs]
     if not a:
         return [] if not any(b) else None
     aug = [row + [b[i]] for i, row in enumerate(a)]
@@ -129,11 +117,3 @@ def det(mat: Sequence[Sequence]) -> GaussianRational:
                 f = a[i][c] * inv
                 a[i] = [a[i][j] - f * a[c][j] for j in range(n)]
     return sign * out
-
-
-def in_span(vectors: Sequence[Vector], v: Sequence) -> bool:
-    """Is v in the span of the given vectors?"""
-    if not vectors:
-        return not any(GaussianRational.coerce(x) for x in v)
-    a = transpose(coerce_matrix(vectors))
-    return solve(a, v) is not None

@@ -226,10 +226,6 @@ class PolyRing:
     def one(self) -> "Poly":
         return self.constant(1)
 
-    def norm_sq(self, name: str) -> "Poly":
-        """z * conj z."""
-        return self.var(name) * self.var(name + "~")
-
     def coerce(self, x) -> "Poly":
         if isinstance(x, Poly):
             if x.ring is not self:

@@ -55,6 +55,8 @@ from .herm import (
     closed_one_forms,
     fundamental_form,
     is_positive,
+    strongly_gauduchon_columns,
+    tamed_columns,
 )
 
 __all__ = [
@@ -324,9 +326,14 @@ def _i_times(form: Form) -> Form:
     return form.map_coefficients(lambda c: _cnum(c) * 1j)
 
 
+def _columns(forms, slots) -> np.ndarray:
+    """Matrix whose column ``s`` is ``forms[s]`` on ``slots``."""
+    return np.stack([_vec(f, slots) for f in forms], axis=1)
+
+
 def _linear(op, forms, slots) -> np.ndarray:
     """``(slots, 9)`` tensor whose column ``s`` is ``op(forms[s])``."""
-    return np.stack([_vec(op(f), slots) for f in forms], axis=1)
+    return _columns([op(f) for f in forms], slots)
 
 
 def _quadratic(op, left, right, slots) -> np.ndarray:
@@ -347,7 +354,8 @@ class _MetricResidual:
     once with the exact frame operators and then evaluated in floats.
     Conditions with a free certificate fit it per iterate: a real
     least-squares fit over the tensors ``mu`` of the closed real one-forms,
-    or a fixed orthogonal projection off the potential forms ``beta``.
+    or a fixed orthogonal projection off the potential columns ``beta``, the
+    same columns the exact checkers in ``herm`` solve with.
     """
 
     def __init__(self, cx: Complexification, condition: str):
@@ -358,7 +366,7 @@ class _MetricResidual:
         d3, d4, d5 = _slots(3), _slots(4), _slots(5)
         mus = ([cx.to_alpha(m) for m in closed_one_forms(cx)]
                if condition in ("lck", "lcb", "lcskt") else [])
-        beta = None  # columns dbar(beta); the residual is projected off their span
+        beta = None  # potential columns; the residual is projected off their span
         self._mu = []
         if condition == "kahler":
             self._T = _linear(frame.d, basis, d3)
@@ -366,16 +374,14 @@ class _MetricResidual:
             self._T = _linear(lambda b: frame.del_(frame.dbar(b)), basis, d4)
         elif condition == "tamed":
             self._T = _linear(frame.del_, basis, d3)
-            beta = _linear(frame.dbar, [Form(6, 2, {(a, b): 1.0})
-                                        for a, b in ((1, 2), (1, 3), (2, 3))], d3)
+            beta = _columns(tamed_columns(frame), d3)
         elif condition in ("balanced", "lcb"):
             self._T = _quadratic(lambda a, b: frame.d(a.wedge(b)), basis, basis, d5)
             self._mu = [_quadratic(lambda a, b: m.wedge(a.wedge(b)), basis, basis, d5)
                         for m in mus]
         elif condition == "strongly_gauduchon":
             self._T = _quadratic(lambda a, b: frame.del_(a.wedge(b)), basis, basis, d5)
-            beta = _linear(frame.dbar, [Form(6, 4, {(1, 2, 3, _bar(k)): 1.0})
-                                        for k in (1, 2, 3)], d5)
+            beta = _columns(strongly_gauduchon_columns(frame), d5)
         elif condition == "first_gauduchon":
             leads = [frame.del_(frame.dbar(b)) for b in basis]
             self._T = _quadratic(Form.wedge, leads, basis, [(1, 2, 3, 4, 5, 6)])

@@ -1,9 +1,15 @@
 """Command-line interface: exit codes, output shapes, manifest headers."""
+import contextlib
+import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermlie.catalog import list_entries
 from hermlie.cli import main
 
 
@@ -66,6 +72,13 @@ class TestVerifyCatalog:
         assert code == 2
         assert err.startswith("error: bad example row 0")
 
+    def test_row_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"examples": [1]}))
+        code, out, err = run(capsys, "verify-catalog", str(path))
+        assert code == 2
+        assert err.startswith("error: bad example row 0") and "Traceback" not in err
+
     def test_json_output(self, dumped_catalog, capsys):
         code, out, _ = run(capsys, "--json", "verify-catalog",
                            str(dumped_catalog))
@@ -113,6 +126,10 @@ class TestCheck:
          "j_images": {"1": "f2", "3": "f4", "5": "f6"}},
         {"algebra": "s3.3^0+R3"},
         {"algebra": "s3.3^0+R3", "j_images": {"9": "f2", "3": "f4", "5": "f6"}},
+        {"algebra": "s5.16+R", "params": [1],
+         "j_images": {"1": "f2", "3": "f4", "5": "f6"}},
+        {"algebra": "s5.16+R", "j_images": ["f2"]},
+        ["s5.16+R"],
     ])
     def test_malformed_input(self, tmp_path, capsys, spec):
         path = tmp_path / "in.json"
@@ -259,18 +276,70 @@ class TestLatticeProbe:
         assert main(["--json", "lattice-probe", "s6.154^0", f"--X={x}", f"--t={t}"]) in (0, 2)
 
 
+# random JSON, and a valid row with one field replaced by a near-miss or by
+# random JSON
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_ONE_FORMS = st.sampled_from(["f2", "-f1", "f4", "-f3", "f6", "-f5", "f12", "2p f3", ""])
+_FIELDS = {
+    "algebra": st.sampled_from(["s3.3^0+R3", "s6.25", "nope"]) | _JSON,
+    "equations": st.sampled_from(["(f16, 0, 0, 0, 0, 0)", "(0, 0)"]) | _JSON,
+    "params": st.dictionaries(st.sampled_from("pqx"),
+                              st.sampled_from(["1", "1/0", "-2"]) | _JSON) | _JSON,
+    "j_images": st.dictionaries(st.sampled_from(["1", "3", "5", "9", "x"]),
+                                _ONE_FORMS | _JSON) | _JSON,
+    "j_matrix": _JSON,
+    "omega": st.sampled_from(["f13+f24+f56", "f12", "f1"]) | _JSON,
+    "mu": _ONE_FORMS | _JSON,
+    "conditions": st.lists(st.sampled_from(["kahler", "skt", "nope"])) | _JSON,
+}
+_VALID = {"algebra": "s5.16+R", "j_images": {"1": "f2", "3": "f4", "5": "f6"},
+          "omega": "f12+f34+f56", "conditions": ["balanced"]}
+_ROWS = _JSON | st.sampled_from(sorted(_FIELDS)).flatmap(
+    lambda key: _FIELDS[key].map(lambda value: {**_VALID, key: value}))
+
+
+class TestFuzzedInput:
+    """Any JSON as ``check`` input or as a ``verify-catalog FILE`` row exits
+    0, 1 or 2 without a traceback."""
+
+    @staticmethod
+    def _run_on_file(payload, *argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.json"
+            path.write_text(json.dumps(payload))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, str(path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_ROWS)
+    def test_check(self, row):
+        self._run_on_file(row, "check")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_ROWS)
+    def test_verify_catalog_row(self, row):
+        self._run_on_file({"examples": [row]}, "verify-catalog")
+
+
 class TestReportTable:
     def test_csv_grid(self, capsys):
         code, out, _ = run(capsys, "report-table", "--csv",
                            "--restarts", "2", "--max-iters", "25")
         assert code == 0
-        lines = [l for l in out.splitlines() if l and not l.startswith("#")]
-        header = lines[0].split(",")
-        assert header[0] == "algebra"
+        rows = list(csv.reader(l for l in out.splitlines() if l and not l.startswith("#")))
+        header = rows[0]
+        assert header[0] == "algebra" and len(header) == 9
         assert "skt" in header and "strongly_gauduchon" in header
-        # 34 catalog rows follow the header
-        assert len([l for l in lines if l.startswith("s") or
-                    l.startswith("h")]) >= 34
+        # 34 catalog rows follow the header, each with the algebra name first
+        assert [r[0] for r in rows[1:]] == [e.name for e in list_entries()]
+        assert all(len(r) == 9 for r in rows[1:])
 
     def test_manifest_header_present(self, capsys):
         code, out, _ = run(capsys, "--seed", "3", "obstruction",

@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import pytest
 
+from hermlie.catalog import get_entry
 from hermlie.forms import Form
 from hermlie.liealg import (
     LieAlgebra,
     ce_differential,
     derived_series,
     find_nilradical,
-    from_json,
+    is_ideal,
     is_nilpotent,
     is_solvable,
     is_strongly_unimodular,
@@ -24,7 +25,6 @@ from hermlie.liealg import (
     parse_scalar,
     parse_structure_equations,
     print_structure_equations,
-    to_json,
     verify_nilradical,
 )
 from hermlie.scalars import GR_ONE, GR_ZERO, GaussianRational
@@ -70,12 +70,6 @@ class TestParsing:
             parse_structure_equations("(0, 0, 0)")  # wrong entry count
         with pytest.raises(ValueError):
             parse_structure_equations("0, 0, 0, 0, 0, 0")  # missing parens
-
-    def test_json_roundtrip(self):
-        g = parse_structure_equations(HEIS, name="heis")
-        g2 = from_json(to_json(g))
-        assert g2.name == "heis"
-        assert [f.coeffs for f in g.d1] == [f.coeffs for f in g2.d1]
 
 
 class TestStructureConstants:
@@ -162,3 +156,36 @@ class TestSeriesAndNilradical:
         # the full space is an ideal but not a nilpotent one
         whole = [basis_vector(i) for i in range(1, 7)]
         assert not verify_nilradical(g, whole)["certified_nilradical"]
+
+    def test_trace_on_a_deeper_layer_breaks_strong_unimodularity(self):
+        # h3 + R^2 with ad_f6 = diag(1, 0, 1, -2, 0): the trace is 0 on the
+        # nilradical f1..f5 but 1 on [n, n] = <f3>
+        g = parse_structure_equations("(f16, 0, -f12+f36, -2f46, 0, 0)")
+        five = [basis_vector(i) for i in range(1, 6)]
+        assert jacobi_holds(g)
+        assert verify_nilradical(g, five)["certified_nilradical"]
+        assert not is_strongly_unimodular(g, five)
+        assert not is_strongly_unimodular(g)
+
+    def test_answers_do_not_depend_on_the_nilradical_basis(self):
+        g = parse_structure_equations("(f35+f16, f45-f26, f36, -f46, 0, 0)")
+        e = [basis_vector(i) for i in range(1, 6)]
+        rotated = [[a + b for a, b in zip(e[0], e[1])], e[1],
+                   [a + 2 * b for a, b in zip(e[2], e[4])], e[3], e[4]]
+        assert verify_nilradical(g, rotated) == verify_nilradical(g, e)
+        assert verify_nilradical(g, rotated)["certified_nilradical"]
+        assert is_strongly_unimodular(g, rotated) and is_strongly_unimodular(g, e)
+
+    def test_coordinate_subspaces_that_are_not_ideals_raise(self):
+        g = get_entry("s6.44").algebra_instance()
+        non_ideals = 0
+        for drop in range(1, 7):
+            basis = [basis_vector(i) for i in range(1, 7) if i != drop]
+            if is_ideal(g, basis):
+                continue
+            non_ideals += 1
+            report = verify_nilradical(g, basis)
+            assert not report["is_ideal"] and not report["certified_nilradical"]
+            with pytest.raises(ValueError):
+                is_strongly_unimodular(g, basis)
+        assert non_ideals == 5
