@@ -262,6 +262,8 @@ def cmd_check(args, manifest: RunManifest) -> int:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise _SchemaError(f"cannot read input file: {err}") from None
+    if isinstance(data, dict) and "algebra" in data:
+        _entry(data["algebra"])  # a check input names a catalog algebra, even with equations
     ex = _example_from_json(data, "bad input schema")
     g = ex.algebra_instance()
     J = ex.j()

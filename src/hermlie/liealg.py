@@ -379,7 +379,7 @@ def full_space(g: LieAlgebra) -> Subspace:
     return linalg.identity(g.dim)
 
 
-def _descending_series(g: LieAlgebra, top: Subspace, derived: bool = False) -> list[Subspace]:
+def _descending_series(g: LieAlgebra, top: Subspace, derived: bool) -> list[Subspace]:
     """top, then [top, last] (or [last, last] when ``derived``) until a term
     is 0 or no smaller than the last, which ends the loop for any ``top``."""
     series = [top]
@@ -394,7 +394,7 @@ def _descending_series(g: LieAlgebra, top: Subspace, derived: bool = False) -> l
 
 def lower_central_series(g: LieAlgebra) -> list[Subspace]:
     """g^0 = g, g^{k+1} = [g, g^k]; stops when stationary."""
-    return _descending_series(g, full_space(g))
+    return _descending_series(g, full_space(g), derived=False)
 
 
 def derived_series(g: LieAlgebra) -> list[Subspace]:
@@ -426,7 +426,7 @@ def verify_nilradical(g: LieAlgebra, basis: Subspace) -> dict:
     """
     n = span_basis(basis)
     ideal = is_ideal(g, n)
-    nilp = ideal and not _descending_series(g, n)[-1]
+    nilp = ideal and not _descending_series(g, n, derived=False)[-1]
     codim = g.dim - len(n)
     g_nilpotent = is_nilpotent(g)
     return {
@@ -446,7 +446,7 @@ def is_strongly_unimodular(g: LieAlgebra, nilradical: Optional[Subspace] = None)
     """
     if nilradical is None:
         nilradical = find_nilradical(g)
-    for layer in _descending_series(g, span_basis(nilradical)):
+    for layer in _descending_series(g, span_basis(nilradical), derived=False):
         # coordinates of ad_X v_i for every X, checked before any trace
         images = [[_coordinates(layer, g.bracket(x, v)) for v in layer]
                   for x in full_space(g)]
@@ -473,6 +473,6 @@ def find_nilradical(g: LieAlgebra) -> Subspace:
             for i in range(g.dim)
             if i != drop
         ]
-        if is_ideal(g, basis) and not _descending_series(g, basis)[-1]:
+        if is_ideal(g, basis) and not _descending_series(g, basis, derived=False)[-1]:
             return basis
     raise ValueError("no codimension-one nilpotent ideal found")

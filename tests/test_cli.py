@@ -130,6 +130,8 @@ class TestCheck:
          "j_images": {"1": "f2", "3": "f4", "5": "f6"}},
         {"algebra": "s5.16+R", "j_images": ["f2"]},
         ["s5.16+R"],
+        {"algebra": "nope", "equations": "(0, 0, 0, 0, 0, 0)",
+         "j_images": {"1": "f2", "3": "f4", "5": "f6"}},
     ])
     def test_malformed_input(self, tmp_path, capsys, spec):
         path = tmp_path / "in.json"
