@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from . import linalg
 from .cpx import Complexification, is_integrable, j_from_images
 from .forms import Form
 from .liealg import (
@@ -28,7 +27,6 @@ from .liealg import (
     parse_scalar,
     parse_structure_equations,
 )
-from .scalars import GaussianRational
 
 F = Fraction
 

@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field, is_dataclass, asdict
+from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -26,11 +26,9 @@ from .forms import Form
 from .herm import CHECKERS, HermitianMetric
 from .catalog import (
     CATALOG_VERSION,
-    CONDITIONS,
     ExampleStructure,
     get_entry,
     list_entries,
-    negative_controls,
     verify_entry,
     verify_example,
 )
@@ -333,6 +331,9 @@ def cmd_search(args, manifest: RunManifest) -> int:
         if args.condition not in CHECKERS:
             raise _SchemaError(f"unknown condition {args.condition!r}; choose from "
                                f"{sorted(CHECKERS)}")
+        if not entry.examples:
+            raise _SchemaError(f"{entry.name} has no stored complex structure to "
+                               "search metrics on")
         outcome = find_metric(entry_complexification(entry), args.condition, cfg)
         witness = outcome.witness or {}
         summary = {

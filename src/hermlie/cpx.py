@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from . import linalg
-from .forms import Antiderivation, Form, sort_sign
+from .forms import Antiderivation, BasisChange, Form, sort_sign
 from .liealg import LieAlgebra, ce_differential
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, PolyRing, conj_scalar, im_part, re_part
 
@@ -241,7 +241,8 @@ class Complexification:
     Attributes: ``g`` (real :class:`LieAlgebra`), ``J`` (matrix), ``alphas``
     (three (1,0)-forms in the real coframe), ``frame``
     (:class:`ComplexFrame`), plus the change-of-basis maps ``to_alpha`` /
-    ``to_real``.
+    ``to_real``, each a :class:`~hermlie.forms.BasisChange` that caches the
+    image of every monomial it has mapped.
     """
 
     def __init__(self, g: LieAlgebra, J, alphas: Sequence[Form], check: bool = True):
@@ -251,29 +252,25 @@ class Complexification:
         n = g.dim
         rows = [[a.coeff(i) for i in range(1, n + 1)] for a in alphas]
         rows += [[conj_scalar(GaussianRational.coerce(x)) for x in r] for r in rows]
-        self._M = linalg.coerce_matrix(rows)        # alpha = M . f
-        self._Minv = linalg.inverse(self._M)        # f = Minv . alpha
-        self._img_real_to_alpha = {
-            i + 1: Form(n, 1, {(k + 1,): self._Minv[i][k] for k in range(n)})
-            for i in range(n)
-        }
-        self._img_alpha_to_real = {
-            k + 1: Form(n, 1, {(i + 1,): self._M[k][i] for i in range(n)})
-            for k in range(n)
-        }
-        d10 = [self.to_alpha(ce_differential(g, self._alpha_real(k))) for k in range(HOLO)]
+        M = linalg.coerce_matrix(rows)        # alpha = M . f
+        Minv = linalg.inverse(M)              # f = Minv . alpha
+        self._to_alpha = BasisChange({
+            i + 1: Form(n, 1, {(k + 1,): Minv[i][k] for k in range(n)}) for i in range(n)
+        })
+        self._to_real = BasisChange({
+            k + 1: Form(n, 1, {(i + 1,): M[k][i] for i in range(n)}) for k in range(n)
+        })
+        self._lee = None  # (omega, theta) of the last herm.lee_form call
+        d10 = [self.to_alpha(ce_differential(g, a)) for a in self.alphas]
         self.frame = ComplexFrame(d10)
         if check and not self.frame.integrable():
             raise ValueError("J is not integrable")
 
-    def _alpha_real(self, k: int) -> Form:
-        return self.alphas[k]
-
     def to_alpha(self, form: Form) -> Form:
-        return form.substitute_basis(self._img_real_to_alpha)
+        return self._to_alpha(form)
 
     def to_real(self, form: Form) -> Form:
-        return form.substitute_basis(self._img_alpha_to_real)
+        return self._to_real(form)
 
     @classmethod
     def from_real(cls, g: LieAlgebra, J, check: bool = True) -> "Complexification":
@@ -301,13 +298,14 @@ def realify(frame: ComplexFrame, name: Optional[str] = None) -> Complexification
     for k in range(HOLO):
         img[k + 1] = Form(dim, 1, {(2 * k + 1,): GR_ONE, (2 * k + 2,): GR_I})
         img[k + 4] = Form(dim, 1, {(2 * k + 1,): GR_ONE, (2 * k + 2,): -GR_I})
+    to_real = BasisChange(img)
     half = GaussianRational("1/2")
     half_i = GaussianRational(0, "-1/2")
     d1 = []
     for j in range(1, dim + 1):
         k = (j + 1) // 2
-        da = frame.d_alpha[k - 1].substitute_basis(img)
-        dac = frame.d_alpha[k + 2].substitute_basis(img)
+        da = to_real(frame.d_alpha[k - 1])
+        dac = to_real(frame.d_alpha[k + 2])
         if j % 2:  # e^{2k-1} = (alpha + conj)/2
             de = (da + dac) * half
         else:      # e^{2k} = (alpha - conj)/(2i)

@@ -6,6 +6,10 @@ to scalar coefficients.  The scalar type is generic -- exact
 (:class:`~hermlie.scalars.GaussianRational`, :class:`~hermlie.scalars.Poly`)
 for certified computations, plain ``complex`` for the numeric search path.
 Zero coefficients are dropped eagerly, so ``bool(form)`` is "is nonzero".
+
+A :class:`MonomialMap` is a linear map of forms fixed by the image of each
+basis monomial, computed once and cached: :class:`Antiderivation` is d, and
+:class:`BasisChange` is a change of coframe.
 """
 
 from __future__ import annotations
@@ -220,33 +224,6 @@ class Form:
         """Coefficient-wise complex conjugation (basis indices untouched)."""
         return self.map_coefficients(conj_scalar)
 
-    def substitute_basis(self, images: Mapping[int, "Form"]) -> "Form":
-        """Replace coframe elements: ``f^i -> images[i]`` (1-forms), wedge-expand.
-
-        Indices absent from ``images`` are kept as themselves.  Used for
-        basis changes between the real coframe and a complex coframe.
-        """
-        cache: dict[int, Form] = {}
-
-        def image(i: int) -> Form:
-            if i not in cache:
-                img = images.get(i)
-                cache[i] = img if img is not None else Form.basis(self.dim, (i,))
-            return cache[i]
-
-        out = Form.zero(self.dim, self.degree)
-        for key, c in self.coeffs.items():
-            term = None
-            for i in key:
-                term = image(i) if term is None else term.wedge(image(i))
-                if term is not None and not term:
-                    break
-            if term is None:
-                term = Form(self.dim, 0, {(): 1})
-            if term:
-                out = out + term * c
-        return out
-
     # -- display --------------------------------------------------------
     def __repr__(self):
         if not self.coeffs:
@@ -259,17 +236,47 @@ class Form:
         return " + ".join(parts)
 
 
-class Antiderivation:
-    """The degree-one antiderivation d with ``d f^i = d1[i - 1]``.
+class MonomialMap:
+    """A linear map of forms given by the image of each basis monomial.
 
-    d of each basis monomial is expanded by the Leibniz rule the first time
-    it is needed and kept on the instance, so the cache lives exactly as
-    long as the algebra or frame that owns the operator.
+    A subclass supplies ``_monomial(dim, key)``.  Each image is computed the
+    first time it is needed and kept on the instance, so the cache lives
+    exactly as long as the algebra, frame or complexification that owns it.
     """
 
+    shift = 0  # degree of the image minus degree of the argument
+
+    def __init__(self):
+        self._images: dict[tuple, Form] = {}
+
+    def __call__(self, form: Form) -> Form:
+        coeffs: dict[tuple, object] = {}
+        for key, c in form.coeffs.items():
+            image = self._images.get(key)
+            if image is None:
+                image = self._images[key] = self._monomial(form.dim, key)
+            for k, x in image.coeffs.items():
+                term = x * c
+                s = coeffs.get(k)
+                s = term if s is None else s + term
+                if s:
+                    coeffs[k] = s
+                else:
+                    coeffs.pop(k, None)
+        out = Form.zero(form.dim, form.degree + self.shift)
+        out.coeffs = coeffs
+        return out
+
+
+class Antiderivation(MonomialMap):
+    """The degree-one antiderivation d with ``d f^i = d1[i - 1]``; d of a
+    monomial is expanded by the Leibniz rule."""
+
+    shift = 1
+
     def __init__(self, d1: Sequence[Form]):
+        super().__init__()
         self.d1 = d1
-        self._monomials: dict[tuple, Form] = {}
 
     def _monomial(self, dim: int, key: tuple) -> Form:
         out = Form.zero(dim, len(key) + 1)
@@ -280,14 +287,21 @@ class Antiderivation:
             out = out - term if t % 2 else out + term
         return out
 
-    def __call__(self, form: Form) -> Form:
-        out = Form.zero(form.dim, form.degree + 1)
-        for key, c in form.coeffs.items():
-            dk = self._monomials.get(key)
-            if dk is None:
-                dk = self._monomials[key] = self._monomial(form.dim, key)
-            if dk:
-                out = out + dk * c
+
+class BasisChange(MonomialMap):
+    """The algebra map ``f^i -> images[i]`` (1-forms), as between the real
+    coframe and a complex coframe; indices absent from ``images`` are kept
+    as themselves.  A monomial's image is the wedge of its factors' images."""
+
+    def __init__(self, images: Mapping[int, Form]):
+        super().__init__()
+        self.images = images
+
+    def _monomial(self, dim: int, key: tuple) -> Form:
+        out = Form(dim, 0, {(): 1})
+        for i in key:
+            image = self.images.get(i)
+            out = out.wedge(Form.basis(dim, (i,)) if image is None else image)
         return out
 
 

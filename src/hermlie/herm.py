@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg
 from .cpx import HOLO, Complexification, ComplexFrame
@@ -142,19 +142,25 @@ def torsion_H(frame: ComplexFrame, omega: Form) -> Form:
 def lee_form(cx: Complexification, omega: Form) -> Form:
     """Unique real 1-form theta with d omega^2 = theta ^ omega^2.
 
-    Input and output are in the real coframe basis; omega may be given in
-    either basis (converted by bidegree bookkeeping of its indices).
+    omega is given in the complex coframe and theta is returned in the real
+    one.  The last (omega, theta) pair is kept on ``cx``, so ``check_lck``
+    reuses the theta ``check_lcb`` solved for; it is served only while omega
+    equals the copy taken when theta was solved, so an omega mutated in
+    place since is solved again.
     """
+    if cx._lee is not None and cx._lee[0] == omega:
+        return cx._lee[1]
     n = cx.g.dim
-    om = omega
-    om_real = cx.to_real(om)
+    om_real = cx.to_real(omega)
     om2 = om_real.wedge(om_real)
     dom2 = ce_differential(cx.g, om2)
     cols = [Form.basis(n, (i,)).wedge(om2) for i in range(1, n + 1)]
     sol = linalg.solve(*_system(cols, dom2))
     if sol is None:
         raise ValueError("omega^2 is degenerate; no Lee form")
-    return Form(n, 1, {(i + 1,): sol[i] for i in range(n)})
+    theta = Form(n, 1, {(i + 1,): sol[i] for i in range(n)})
+    cx._lee = (Form(omega.dim, omega.degree, omega.coeffs), theta)
+    return theta
 
 
 def _system(cols: Sequence[Form], target: Form) -> tuple[list, list]:

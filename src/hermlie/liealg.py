@@ -48,6 +48,7 @@ class LieAlgebra:
                 raise ValueError(f"d f^{i + 1} must be a 2-form on the same coframe")
         self._d = Antiderivation(self.d1)
         self._closed_one_forms = None  # filled by herm.closed_one_forms on first use
+        self._pairs = None  # filled by bracket on first use
 
     # -- structure constants ------------------------------------------
     def structure_constant(self, i: int, j: int, k: int) -> GaussianRational:
@@ -57,14 +58,23 @@ class LieAlgebra:
         return -c
 
     def bracket(self, u: Sequence, v: Sequence) -> list:
-        """Bracket of vectors given by components (generic scalar type)."""
-        out = []
-        for i in range(1, self.dim + 1):
-            acc = GR_ZERO
-            for (j, k), c in self.d1[i - 1].coeffs.items():
-                term = (-c) * (u[j - 1] * v[k - 1] - u[k - 1] * v[j - 1])
-                acc = acc + term
-            out.append(acc)
+        """Bracket of vectors given by components (generic scalar type).
+
+        A table, built on the first call, lists for each pair j < k the nonzero
+        c^i_jk; w = u_j v_k - u_k v_j is formed from its nonzero factors only."""
+        if self._pairs is None:
+            self._pairs = {}
+            for i, df in enumerate(self.d1):
+                for (j, k), c in df.coeffs.items():
+                    self._pairs.setdefault((j - 1, k - 1), []).append((i, -c))
+        out = [GR_ZERO] * self.dim
+        for (j, k), terms in self._pairs.items():
+            w = u[j] * v[k] if u[j] and v[k] else None
+            if u[k] and v[j]:
+                w = -(u[k] * v[j]) if w is None else w - u[k] * v[j]
+            if w:
+                for i, c in terms:
+                    out[i] = out[i] + c * w
         return out
 
     def ad_matrix(self, x: Sequence) -> list:

@@ -39,12 +39,15 @@ def rref(mat: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
+        # zero entries of the pivot row change nothing: 0 * inv = 0, x - f * 0 = x
         inv = a[r][c].inverse()
-        a[r] = [x * inv for x in a[r]]
+        a[r] = [x * inv if x else x for x in a[r]]
+        support = [(j, y) for j, y in enumerate(a[r]) if y]
         for i in range(rows):
             if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [a[i][j] - f * a[r][j] for j in range(cols)]
+                f, row = a[i][c], a[i]
+                for j, y in support:
+                    row[j] = row[j] - f * y
         pivots.append(c)
         r += 1
     return a, pivots

@@ -239,12 +239,16 @@ def _is_zero_scalar(c) -> bool:
 def _exactify_j(g: LieAlgebra, x: np.ndarray):
     """Rational reconstruction of a float J plus exact integrability check."""
     vals = x.reshape(6, 6)
+    previous = None
     for bound in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 1000, 10**6):
         Jq = [
             [GaussianRational.coerce(Fraction(float(v)).limit_denominator(bound))
              for v in row]
             for row in vals
         ]
+        if Jq == previous:
+            continue  # the exact verdict on this candidate is already known
+        previous = Jq
         if not squares_to_minus_id(Jq):
             continue
         comps = nijenhuis(g, Jq)
@@ -631,6 +635,12 @@ def _example_structure(ex, structures: dict) -> Complexification:
     return structures[id(ex)]
 
 
+#: Conditions no entry claims, read from the claim of one that implies them (a
+#: balanced metric is strongly Gauduchon; a Kahler omega tames J, as del omega
+#: = 0 = dbar 0), whose stored witness is re-checked for the condition itself.
+_CLAIM_SOURCE = {"strongly_gauduchon": "balanced", "tamed": "kahler"}
+
+
 def _existence_cell(entry, condition: str, reports: dict, structures: dict):
     """The cell of a claimed condition, from the first stored example with it.
 
@@ -638,9 +648,8 @@ def _existence_cell(entry, condition: str, reports: dict, structures: dict):
     each example is verified once however many conditions it claims.
     """
     from .catalog import verify_example
-    from .herm import check_strongly_gauduchon
 
-    source = condition if condition != "strongly_gauduchon" else "balanced"
+    source = _CLAIM_SOURCE.get(condition, condition)
     for ex in entry.examples:
         if source not in ex.conditions:
             continue
@@ -650,12 +659,12 @@ def _existence_cell(entry, condition: str, reports: dict, structures: dict):
         if not report.get("ok"):
             return {"status": "mismatch",
                     "detail": f"stored example failed verification: {report}"}
-        if condition == "strongly_gauduchon":
+        if source != condition:
             cx = _example_structure(ex, structures)
             om = cx.to_alpha(ex.omega_form())
-            if not check_strongly_gauduchon(cx, om):
+            if not CHECKERS[condition](cx, om):
                 return {"status": "mismatch",
-                        "detail": "balanced witness failed the exact check"}
+                        "detail": f"{source} witness failed the exact check"}
         return {"status": "verified-example", "detail": f"omega = {ex.omega}"}
     return {"status": "mismatch", "detail": "claimed existence has no stored example"}
 
@@ -682,8 +691,7 @@ def classification_sweep(conditions: Optional[Sequence[str]] = None,
         cx = None
         cells = {}
         for cond in conds:
-            claim_key = "balanced" if cond == "strongly_gauduchon" else cond
-            if entry.claims.get(claim_key, "never") != "never":
+            if entry.claims.get(_CLAIM_SOURCE.get(cond, cond), "never") != "never":
                 cell = _existence_cell(entry, cond, reports, structures)
             elif _absence_covered(cond, ruled_out):
                 cell = {"status": "obstruction-replayed",

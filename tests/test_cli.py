@@ -330,6 +330,84 @@ class TestFuzzedInput:
         self._run_on_file({"examples": [row]}, "verify-catalog")
 
 
+# search and obstruction arguments: a valid command line, some options left
+# out, with at most one value replaced by a near miss or by random text;
+# restarts and iterations stay small so that each example is cheap
+_NAMES = [e.name for e in list_entries(include_controls=True)]
+_CONDITIONS = ["complex", "kahler", "skt", "balanced", "lck", "lcskt", "lcb",
+               "first_gauduchon", "strongly_gauduchon", "tamed"]
+_NUMBERS = st.sampled_from(["x", "", "1.5", "nan", "inf", "-inf", "1e-300"])
+_GOOD = {
+    "algebra": st.sampled_from(_NAMES),
+    "--condition": st.sampled_from(_CONDITIONS),
+    "--seed": st.integers(0, 2 ** 40).map(str),
+    "--restarts": st.integers(1, 3).map(str),
+    "--max-iters": st.integers(0, 5).map(str),
+    "--tol": st.sampled_from(["1e-10", "1e-4", "0.5", "1e300"]),
+}
+_BAD = {
+    "algebra": st.sampled_from(["nope", "", "-x", "S6.25"]) | st.text(max_size=6),
+    "--condition": st.sampled_from(["nope", "Kahler", ""]) | st.text(max_size=6),
+    "--seed": _NUMBERS | st.text(max_size=4),
+    "--restarts": st.integers(-2, 0).map(str) | _NUMBERS,
+    "--max-iters": st.integers(-2, -1).map(str) | _NUMBERS,
+    "--tol": st.floats().map(str) | _NUMBERS,
+}
+
+
+def _fuzzed(keys, optional=()):
+    """Values for ``keys``: all valid in about half the examples, else one
+    replaced by a bad value; the ``optional`` ones may be left out."""
+    return st.tuples(
+        st.fixed_dictionaries({k: _GOOD[k] for k in keys}),
+        st.sampled_from([None] * len(keys) + list(keys)).flatmap(
+            lambda k: st.just({}) if k is None else _BAD[k].map(lambda v: {k: v})),
+        st.sets(st.sampled_from(optional)) if optional else st.just(set()),
+        st.booleans(),
+    ).map(lambda t: ({**t[0], **t[1]}, t[2], t[3]))
+
+
+def _search_argv(fuzzed):
+    values, dropped, as_json = fuzzed
+    options = [x for k in ("--condition", "--restarts", "--max-iters", "--tol")
+               if k not in dropped for x in (k, values[k])]
+    seed = [] if "--seed" in dropped else ["--seed", values["--seed"]]
+    return [*seed, *(["--json"] if as_json else []), "search", values["algebra"], *options]
+
+
+def _obstruction_argv(fuzzed):
+    values, _, as_json = fuzzed
+    return [*(["--json"] if as_json else []), "obstruction", values["algebra"],
+            values["--condition"]]
+
+
+class TestFuzzedArguments:
+    """Any ``search`` or ``obstruction`` arguments exit 0, 1 or 2 without a
+    traceback; argparse reports its own errors by raising ``SystemExit``."""
+
+    @staticmethod
+    def _exit_code(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_fuzzed(["algebra", "--condition", "--seed", "--restarts", "--max-iters",
+                     "--tol"], optional=["--condition", "--seed", "--tol"]).map(_search_argv))
+    def test_search(self, argv):
+        self._exit_code(argv)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_fuzzed(["algebra", "--condition"]).map(_obstruction_argv))
+    def test_obstruction(self, argv):
+        self._exit_code(argv)
+
+
 class TestReportTable:
     def test_csv_grid(self, capsys):
         code, out, _ = run(capsys, "report-table", "--csv",

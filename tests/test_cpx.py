@@ -16,7 +16,7 @@ from hermlie.cpx import (
     squares_to_minus_id,
     standard_j,
 )
-from hermlie.forms import Form
+from hermlie.forms import Form, all_index_tuples
 from hermlie.liealg import ce_differential, jacobi_holds, parse_structure_equations
 from hermlie.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
 
@@ -81,6 +81,16 @@ class TestComplexification:
         w = Form(6, 2, {(1, 2): GaussianRational(Fraction(1, 2)),
                         (3, 6): GR_ONE, (4, 5): GR_ONE})
         assert cx.to_real(cx.to_alpha(w)) == w
+
+    def test_to_real_to_alpha_roundtrip_on_the_catalog(self, complexifications):
+        # every monomial of each degree, with distinct Gaussian coefficients
+        for cx in complexifications:
+            for degree in range(7):
+                w = Form(6, degree, {key: GaussianRational(n + 1, degree - n)
+                                     for n, key in enumerate(all_index_tuples(6, degree))})
+                # the second pass reads each monomial's image from the caches
+                for _ in range(2):
+                    assert cx.to_alpha(cx.to_real(w)) == w, (cx.g.name, degree)
 
     def test_frame_d_matches_real_differential(self):
         from hermlie.catalog import get_entry

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermlie.forms import Form, all_index_tuples, merge_sign, sort_sign
+from hermlie.forms import BasisChange, Form, all_index_tuples, merge_sign, sort_sign
 from hermlie.scalars import GR_ONE, GaussianRational
 
 
@@ -71,11 +71,11 @@ class TestAlgebra:
         # hand expansion: (1/2)(2) + 4*3*(-1)
         assert w.evaluate(u, v) == Fraction(1) - 12
 
-    def test_substitute_basis_roundtrip(self):
+    def test_basis_change_roundtrip(self):
         w = f(1, 2) + 3 * f(2, 5)
-        swap = {1: f(2), 2: f(1)}
-        assert w.substitute_basis(swap).substitute_basis(swap) == w
-        assert w.substitute_basis(swap) == -f(1, 2) + 3 * f(1, 5)
+        swap = BasisChange({1: f(2), 2: f(1)})
+        assert swap(swap(w)) == w
+        assert swap(w) == -f(1, 2) + 3 * f(1, 5)
 
     def test_conjugate(self):
         w = Form(6, 1, {(1,): GaussianRational(Fraction(1), Fraction(2))})

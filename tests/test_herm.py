@@ -126,6 +126,27 @@ class TestDerivedQuantities:
         om2 = cx.to_real(om).wedge(cx.to_real(om))
         assert ce_differential(cx.g, om2) == theta.wedge(om2)
 
+    def test_lee_form_memo_is_never_stale(self):
+        # theta is served from the last call only while omega is unchanged
+        _, cx, om1 = example_cx("s5.4^0+R", "skt")
+        om2 = fundamental_form(HermitianMetric([gr(1), gr(2), gr(3)],
+                                               [gr(0, 1), GR_ZERO, gr(1, -1)]))
+
+        def fresh(om):
+            theta = lee_form(Complexification(cx.g, cx.J, cx.alphas), om)
+            sq = cx.to_real(om).wedge(cx.to_real(om))
+            assert ce_differential(cx.g, sq) == theta.wedge(sq)
+            return theta
+
+        want1, want2 = fresh(om1), fresh(om2)
+        assert want1 != want2
+        for om, want in [(om1, want1), (om2, want2), (om1, want1), (om1, want1),
+                         (om2, want2)]:
+            assert lee_form(cx, om) == want
+        om2.coeffs[(1, 4)] = gr(0, 5)  # l1 = 5, mutated in place
+        want3 = fresh(om2)
+        assert want3 != want2 and lee_form(cx, om2) == want3
+
     def test_lee_form_zero_on_balanced(self):
         _, cx, om = example_cx("s5.16+R", "balanced")
         assert not lee_form(cx, om)

@@ -1,0 +1,35 @@
+"""Every top-level import of a package module is used in that module."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import hermlie
+
+MODULES = sorted(Path(hermlie.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by top-level imports that no expression of the module reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_the_scan_sees_an_unused_import():
+    assert unused_imports("import os\nfrom typing import Optional\nos.sep\n") == [
+        "Optional (line 2)"]
+
+
+# __init__.py imports only to re-export: its names are the package's interface
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_top_level_import(path):
+    assert unused_imports(path.read_text()) == []

@@ -189,3 +189,51 @@ class TestSeriesAndNilradical:
             with pytest.raises(ValueError):
                 is_strongly_unimodular(g, basis)
         assert non_ideals == 5
+
+
+def _presentations():
+    """Every presentation of every catalog entry and negative control."""
+    from hermlie.catalog import list_entries
+    return [entry.algebra_instance(presentation=pres)
+            for entry in list_entries(include_controls=True)
+            for pres in (None, *entry.variants)]
+
+
+def _dense_bracket(g, u, v):
+    """The bracket term by term: the full product for every d f^i term,
+    zero factors included."""
+    return [sum(((-c) * (u[j - 1] * v[k - 1] - u[k - 1] * v[j - 1])
+                 for (j, k), c in df.coeffs.items()), GR_ZERO) for df in g.d1]
+
+
+class TestSparseBracket:
+    """The pair table ``bracket`` builds agrees with the dense formula."""
+
+    def test_exact_vectors(self):
+        u = [GaussianRational(Fraction(n, 3), Fraction(1 - n, 2)) for n in range(6)]
+        v = [GR_ZERO, GaussianRational(2), GR_ZERO, GaussianRational(-1, 3), GR_ONE, GR_ZERO]
+        basis = [basis_vector(i) for i in range(1, 7)]
+        for g in _presentations():
+            for a, b in [(u, v), (v, u), (u, u), *zip(basis, basis[1:] + basis[:1])]:
+                assert g.bracket(a, b) == _dense_bracket(g, a, b), g.name
+            cols = [_dense_bracket(g, u, e) for e in basis]
+            assert g.ad_matrix(u) == [[col[i] for col in cols] for i in range(6)]
+
+    def test_generic_j_polynomials(self):
+        from hermlie.cpx import generic_j_ring
+        _, J = generic_j_ring(6)
+        cols = [[J[i][j] for i in range(6)] for j in range(6)]
+        for g in _presentations():
+            for a, b in [(cols[0], cols[1]), (cols[2], basis_vector(5)),
+                         (basis_vector(1), cols[5])]:
+                got, want = g.bracket(a, b), _dense_bracket(g, a, b)
+                assert all(x == y for x, y in zip(got, want)), g.name
+
+    def test_float_vectors(self):
+        u = [0.5, -1.25, 0.0, 2.0, 0.75, -3.0]
+        v = [1.5, 0.0, -0.5, 0.25, 0.0, 1.0]
+        for g in _presentations():
+            for a, b in [(u, v), (v, u), (u, basis_vector(6))]:
+                got, want = g.bracket(a, b), _dense_bracket(g, a, b)
+                assert all(abs(complex(x) - complex(y)) < 1e-12
+                           for x, y in zip(got, want)), g.name

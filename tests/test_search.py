@@ -203,3 +203,14 @@ class TestSweep:
         assert verified == 15
         assert all(c["status"] == "obstruction-replayed"
                    for c in result["controls"])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tamed_sweep_reads_the_kahler_witnesses(self, seed):
+        # a Kahler omega tames J, so the Kahler algebras' stored examples are
+        # the tamed witnesses and no search hit there is a mismatch
+        result = classification_sweep(
+            conditions=("tamed",), cfg=SearchConfig(seed=seed, restarts=2, max_iters=10))
+        assert result["ok"], result["mismatches"]
+        verified = {r["algebra"] for r in result["rows"]
+                    if r["cells"]["tamed"]["status"] == "verified-example"}
+        assert verified == {"s3.3^0+R3", "s5.13^p,-p,r+R"}
