@@ -14,8 +14,9 @@ basis monomial, computed once and cached: :class:`Antiderivation` is d, and
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .scalars import conj_scalar
 

@@ -3,7 +3,10 @@
 Two exact coefficient rings:
 
 * :class:`GaussianRational` -- complex numbers with rational real and
-  imaginary part.  A field, so exact Gaussian elimination works.
+  imaginary part.  A field, so exact Gaussian elimination works.  A value is
+  stored as three ints, (a + b*i)/d with d > 0 and gcd(a, b, d) = 1, so every
+  value has exactly one representation; each operation works on the ints and
+  reduces once, by a single gcd.
 * :class:`Poly` -- sparse multivariate polynomials over the Gaussian
   rationals, with built-in complex conjugation.  Variables are declared on a
   :class:`PolyRing` either as *real* (fixed by conjugation, e.g. metric
@@ -20,6 +23,7 @@ search code relies on.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -35,14 +39,53 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-class GaussianRational:
-    """a + b*i with a, b rational."""
+_new = object.__new__
 
-    __slots__ = ("re", "im")
+
+def _make(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b*i)/d for d > 0, reduced to lowest terms, without ``__init__``."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    x = _new(GaussianRational)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> "GaussianRational":
+    """Like :func:`_make` for a triple already in lowest terms."""
+    x = _new(GaussianRational)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
+
+
+class GaussianRational:
+    """a + b*i with a, b rational, stored as (a + b*i)/d over ints."""
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        re = _as_fraction(re)
+        im = _as_fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -53,25 +96,31 @@ class GaussianRational:
     def coerce(cls, x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
+        if type(x) is int:
+            return _reduced(x, 0, 1)
         if isinstance(x, (int, Fraction, str)):
             return cls(x)
         raise TypeError(f"cannot coerce {x!r} to GaussianRational")
 
     # -- predicates ---------------------------------------------------
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def is_real(self) -> bool:
-        return not self.im
+        return self._b == 0
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
         if isinstance(other, GaussianRational):
-            if not (self.im or other.im):
-                return GaussianRational(self.re + other.re)
-            return GaussianRational(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re + other, self.im)
+            d, e = self._d, other._d
+            if d == e:
+                return _make(self._a + other._a, self._b + other._b, d)
+            return _make(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
+        if isinstance(other, int):
+            return _reduced(self._a + other * self._d, self._b, self._d)
+        if isinstance(other, Fraction):
+            q = other.denominator
+            return _make(self._a * q + other.numerator * self._d, self._b * q, self._d * q)
         if isinstance(other, (float, complex)):
             return complex(self) + other
         return NotImplemented
@@ -79,27 +128,34 @@ class GaussianRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        res = self.__add__(-other if not isinstance(other, (float, complex)) else other)
+        if isinstance(other, GaussianRational):
+            d, e = self._d, other._d
+            if d == e:
+                return _make(self._a - other._a, self._b - other._b, d)
+            return _make(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
+        if isinstance(other, (int, Fraction)):
+            return self.__add__(-other)
         if isinstance(other, (float, complex)):
             return complex(self) - other
-        return res
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
-            if not (self.im or other.im):
-                return GaussianRational(self.re * other.re)
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
+            a, b, c, e = self._a, self._b, other._a, other._b
+            if not (b or e):
+                return _make(a * c, 0, self._d * other._d)
+            return _make(a * c - b * e, a * e + b * c, self._d * other._d)
+        if isinstance(other, int):
+            return _make(self._a * other, self._b * other, self._d)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _make(self._a * p, self._b * p, self._d * other.denominator)
         if isinstance(other, (float, complex)):
             return complex(self) * other
         return NotImplemented
@@ -107,10 +163,11 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if not n:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _make(a * d, -b * d, n)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -139,31 +196,35 @@ class GaussianRational:
         return out
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     # -- conversions / comparisons ------------------------------------
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if not self.im:
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}*i)"
 
 
 GR_ZERO = GaussianRational(0)

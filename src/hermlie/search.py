@@ -161,9 +161,9 @@ def _structure_tensor(g: LieAlgebra) -> np.ndarray:
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
                 c = g.structure_constant(i, j, k)
-                if c.im:
+                if not c.is_real():
                     raise ValueError("structure constants must be real")
-                v = float(c.re)
+                v = complex(c).real
                 C[i - 1, j - 1, k - 1] = v
                 C[i - 1, k - 1, j - 1] = -v
     return C
@@ -232,8 +232,7 @@ def j_residual_kernel():
 
 
 def _is_zero_scalar(c) -> bool:
-    c = GaussianRational.coerce(c)
-    return not (c.re or c.im)
+    return not GaussianRational.coerce(c)
 
 
 def _exactify_j(g: LieAlgebra, x: np.ndarray):
@@ -295,7 +294,7 @@ def find_complex_structure(g: LieAlgebra, cfg: Optional[SearchConfig] = None) ->
 
 def _cnum(x) -> complex:
     if isinstance(x, GaussianRational):
-        return complex(float(x.re), float(x.im))
+        return complex(x)
     if isinstance(x, complex):
         return x
     return complex(float(x))

@@ -4,10 +4,12 @@ Oracle: arithmetic in GaussianRational must agree with Python's ``complex``
 (evaluated in floating point, with exact rational inputs chosen so the float
 image is faithful), and field axioms are checked exactly.
 """
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hermlie.scalars import (
     GR_I,
@@ -20,7 +22,7 @@ from hermlie.scalars import (
     im_part,
     re_part,
 )
-from tests.conftest import gaussian_rationals, nonzero_gaussian_rationals
+from tests.conftest import gaussian_rationals, nonzero_gaussian_rationals, small_fractions
 
 
 class TestGaussianRational:
@@ -68,6 +70,174 @@ class TestGaussianRational:
 
     def test_i_squares_to_minus_one(self):
         assert GR_I * GR_I == -GR_ONE
+
+
+# ---------------------------------------------------------------------------
+# differential test: GaussianRational against a pair of Fractions (re, im)
+
+DIFFERENTIAL = settings(max_examples=1000, deadline=None, derandomize=True)
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+pairs = st.tuples(small_fractions, small_fractions)
+other_operands = st.one_of(
+    pairs,
+    st.integers(min_value=-6, max_value=6),
+    small_fractions,
+    st.floats(min_value=-8, max_value=8),
+    st.complex_numbers(max_magnitude=8, allow_nan=False, allow_infinity=False),
+)
+
+
+def _canonical(x) -> tuple:
+    """The exact value of ``x``, after checking it is stored in lowest terms."""
+    assert isinstance(x, GaussianRational)
+    assert x._d > 0 and gcd(x._a, x._b, x._d) == 1, (x._a, x._b, x._d)
+    assert type(x._a) is type(x._b) is type(x._d) is int
+    return Fraction(x._a, x._d), Fraction(x._b, x._d)
+
+
+def _exact_pair(x):
+    """(re, im) of an exact operand, or None for a float or complex one."""
+    if isinstance(x, tuple):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x), Fraction(0)
+    return None
+
+
+def _pair_op(op: str, x: tuple, y: tuple) -> tuple:
+    (a, b), (c, e) = x, y
+    if op == "+":
+        return a + c, b + e
+    if op == "-":
+        return a - c, b - e
+    if op == "*":
+        return a * c - b * e, a * e + b * c
+    n = c * c + e * e
+    if not n:
+        raise ZeroDivisionError
+    return (a * c + b * e) / n, (b * c - a * e) / n
+
+
+def _pair_complex(x: tuple) -> complex:
+    return complex(float(x[0]), float(x[1]))
+
+
+def _pair_repr(x: tuple) -> str:
+    re, im = x
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}*i"
+    return f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
+
+
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except (ZeroDivisionError, TypeError, ValueError) as exc:
+        return type(exc).__name__, None
+
+
+class TestDifferential:
+    """Every operation, with every operand type on either side, agrees with
+    the same operation on a pair of Fractions, and every exact result is
+    stored as (a + b*i)/d with d > 0 and gcd(a, b, d) = 1."""
+
+    @DIFFERENTIAL
+    @given(st.sampled_from(sorted(_BINARY)), pairs, other_operands, st.booleans())
+    def test_binary_operations(self, op, x, y, swap):
+        gx = GaussianRational(*x)
+        gy = GaussianRational(*y) if isinstance(y, tuple) else y
+        left, right = (gy, gx) if swap else (gx, gy)
+        got = _outcome(lambda: _BINARY[op](left, right))
+        py = _exact_pair(y)
+        if py is not None:
+            want = _outcome(lambda: _pair_op(op, *((py, x) if swap else (x, py))))
+            assert got[0] == want[0]
+            if got[0] == "ok":
+                assert _canonical(got[1]) == want[1]
+        elif swap and op == "/":
+            assert got[0] == "TypeError"
+        else:
+            cx = _pair_complex(x)
+            want = _outcome(lambda: _BINARY[op](*((y, cx) if swap else (cx, y))))
+            assert got[0] == want[0]
+            if got[0] == "ok":
+                assert type(got[1]) is complex and _bits(got[1]) == _bits(want[1])
+
+    @DIFFERENTIAL
+    @given(pairs, other_operands)
+    def test_equality(self, x, y):
+        gx = GaussianRational(*x)
+        py = _exact_pair(y)
+        gy = GaussianRational(*y) if isinstance(y, tuple) else y
+        want = py is not None and py == x
+        assert (gx == gy) is want and (gy == gx) is want
+        assert (gx != gy) is (not want) and (gy != gx) is (not want)
+
+    @DIFFERENTIAL
+    @given(pairs, st.integers(min_value=-1, max_value=5))
+    def test_unary_operations(self, x, n):
+        g = GaussianRational(*x)
+        assert _canonical(g) == x
+        assert g.re == x[0] and g.im == x[1]
+        assert bool(g) is bool(x[0] or x[1])
+        assert g.is_real() is (x[1] == 0)
+        assert repr(g) == _pair_repr(x)
+        assert hash(g) == (hash(x[0]) if not x[1] else hash(x))
+        assert _bits(complex(g)) == _bits(_pair_complex(x))
+        assert _canonical(-g) == (-x[0], -x[1])
+        assert _canonical(g.conj()) == (x[0], -x[1])
+        got = _outcome(g.inverse)
+        want = _outcome(lambda: _pair_op("/", (Fraction(1), Fraction(0)), x))
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert _canonical(got[1]) == want[1]
+        if n < 0:
+            with pytest.raises(ValueError):
+                g ** n
+        else:
+            power = (Fraction(1), Fraction(0))
+            for _ in range(n):
+                power = _pair_op("*", power, x)
+            assert _canonical(g ** n) == power
+
+    @DIFFERENTIAL
+    @given(pairs, st.lists(st.tuples(st.sampled_from(sorted(_BINARY)), pairs), max_size=8))
+    def test_chained_operations(self, x, steps):
+        """Results of results: denominators and gcds grow past the inputs'."""
+        g, ref = GaussianRational(*x), x
+        for op, y in steps:
+            if op == "/" and not any(y):
+                continue
+            g, ref = _BINARY[op](g, GaussianRational(*y)), _pair_op(op, ref, y)
+            assert _canonical(g) == ref
+            assert hash(g) == (hash(ref[0]) if not ref[1] else hash(ref))
+            assert repr(g) == _pair_repr(ref)
+
+    @DIFFERENTIAL
+    @given(st.one_of(st.integers(min_value=-10**6, max_value=10**6), small_fractions,
+                     st.fractions(max_denominator=10**6)))
+    def test_real_values_hash_like_their_rational(self, q):
+        g = GaussianRational(q)
+        assert hash(g) == hash(q) and g == q and q == g
+        assert _canonical(g) == (Fraction(q), Fraction(0))
+        assert _canonical(GaussianRational(str(q))) == (Fraction(q), Fraction(0))
+
+    def test_constructor_inputs(self):
+        assert GaussianRational("3/6", "-2") == GaussianRational(Fraction(1, 2), -2)
+        assert _canonical(GaussianRational(Fraction(1, 6), Fraction(3, 4))) == (
+            Fraction(1, 6), Fraction(3, 4))
+        with pytest.raises(TypeError):
+            GaussianRational(0.5)
+        with pytest.raises(AttributeError):
+            GaussianRational(1).re = Fraction(2)
 
 
 class TestPolyRing:
