@@ -148,8 +148,6 @@ class GaussianRational:
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
             a, b, c, e = self._a, self._b, other._a, other._b
-            if not (b or e):
-                return _make(a * c, 0, self._d * other._d)
             return _make(a * c - b * e, a * e + b * c, self._d * other._d)
         if isinstance(other, int):
             return _make(self._a * other, self._b * other, self._d)
