@@ -655,7 +655,7 @@ def example_structures(name: str) -> list[ExampleStructure]:
 def verify_entry(entry: CatalogEntry) -> dict:
     """Structural integrity of one entry: Jacobi for every presentation,
     solvable, non-nilpotent, strongly unimodular, certified nilradical."""
-    from .liealg import is_solvable, is_strongly_unimodular, verify_nilradical
+    from .liealg import _strongly_unimodular_on, is_solvable, verify_nilradical
     from .scalars import GR_ONE, GR_ZERO
 
     report = {"name": entry.name}
@@ -668,7 +668,8 @@ def verify_entry(entry: CatalogEntry) -> dict:
             "jacobi": jacobi_holds(g),
             "solvable": is_solvable(g),
             "nilpotent": nr["algebra_nilpotent"],
-            "strongly_unimodular": is_strongly_unimodular(g, nil_basis),
+            "strongly_unimodular": _strongly_unimodular_on(
+                g, nr["lower_central_series"], nr["ad_coordinates"]),
             "nilradical_certified": nr["certified_nilradical"],
         }
     report["ok"] = all(

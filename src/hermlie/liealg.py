@@ -419,10 +419,14 @@ def is_solvable(g: LieAlgebra) -> bool:
     return not derived_series(g)[-1]
 
 
+def _ad_coordinates(g: LieAlgebra, layer: Subspace) -> list:
+    """Coordinates in ``layer`` of ad_X v, for every basis vector X of g (rows)
+    and v of ``layer`` (columns); None where ad_X v leaves its span."""
+    return [[_coordinates(layer, g.bracket(x, v)) for v in layer] for x in full_space(g)]
+
+
 def is_ideal(g: LieAlgebra, basis: Subspace) -> bool:
-    n = span_basis(basis)
-    return all(_coordinates(n, g.bracket(e, v)) is not None
-               for e in full_space(g) for v in n)
+    return all(c is not None for row in _ad_coordinates(g, span_basis(basis)) for c in row)
 
 
 def verify_nilradical(g: LieAlgebra, basis: Subspace) -> dict:
@@ -435,8 +439,10 @@ def verify_nilradical(g: LieAlgebra, basis: Subspace) -> dict:
     series.
     """
     n = span_basis(basis)
-    ideal = is_ideal(g, n)
-    nilp = ideal and not _descending_series(g, n, derived=False)[-1]
+    ad = _ad_coordinates(g, n)
+    ideal = all(c is not None for row in ad for c in row)
+    series = _descending_series(g, n, derived=False)
+    nilp = ideal and not series[-1]
     codim = g.dim - len(n)
     g_nilpotent = is_nilpotent(g)
     return {
@@ -445,6 +451,8 @@ def verify_nilradical(g: LieAlgebra, basis: Subspace) -> dict:
         "codimension": codim,
         "algebra_nilpotent": g_nilpotent,
         "certified_nilradical": nilp and codim == 1 and not g_nilpotent,
+        "lower_central_series": series,  # with ad_coordinates, for _strongly_unimodular_on
+        "ad_coordinates": ad,
     }
 
 
@@ -454,12 +462,17 @@ def is_strongly_unimodular(g: LieAlgebra, nilradical: Optional[Subspace] = None)
     Each n^k is an ideal, so that trace is tr(ad_X|n^k) - tr(ad_X|n^{k+1}),
     and all of them vanish exactly when tr(ad_X|n^k) does on every layer.
     """
-    if nilradical is None:
-        nilradical = find_nilradical(g)
-    for layer in _descending_series(g, span_basis(nilradical), derived=False):
+    n = span_basis(find_nilradical(g) if nilradical is None else nilradical)
+    return _strongly_unimodular_on(g, _descending_series(g, n, derived=False),
+                                  _ad_coordinates(g, n))
+
+
+def _strongly_unimodular_on(g: LieAlgebra, series: list, ad: list) -> bool:
+    """:func:`is_strongly_unimodular` given the lower central series of the
+    nilradical and the ad coordinates on it, as :func:`verify_nilradical` reports."""
+    for k, layer in enumerate(series):
         # coordinates of ad_X v_i for every X, checked before any trace
-        images = [[_coordinates(layer, g.bracket(x, v)) for v in layer]
-                  for x in full_space(g)]
+        images = ad if k == 0 else _ad_coordinates(g, layer)
         if any(c is None for row in images for c in row):
             raise ValueError("ad does not preserve the lower central series layer")
         if any(sum((c[i] for i, c in enumerate(row)), GR_ZERO) for row in images):

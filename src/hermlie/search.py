@@ -116,22 +116,27 @@ def _lm_minimize(fn, x0: np.ndarray, cfg: SearchConfig):
     Jacobian of ``r`` at ``x``; returns (x_best, inf_norm_best).
 
     Both searches pass exact Jacobians, so each iteration costs one ``fn``
-    call per trial step and no extra calls to build the Jacobian.
+    call per trial step and no extra calls to build the Jacobian.  The normal
+    matrix and the gradient come from one product ``J^T [J | r]``.
     """
     x = np.asarray(x0, dtype=float).copy()
+    n = x.size
     r, jx = fn(x)
     cost = float(r @ r)
     lam = _DAMPING
-    eye = np.eye(x.size)
+    jr = np.empty((r.size, n + 1))
     for _ in range(cfg.max_iters):
-        if np.max(np.abs(r)) < 0.01 * cfg.tol:
+        if abs(r).max() < 0.01 * cfg.tol:
             break
-        g = jx.T @ r
-        a = jx.T @ jx
-        improved = False
+        jr[:, :n] = jx
+        jr[:, n] = r
+        gram = jx.T @ jr
+        a, minus_g = gram[:, :n], -gram[:, n]
+        diag = a.diagonal().copy()
         for _ in range(8):
+            a.flat[::n + 1] = diag + lam
             try:
-                step = np.linalg.solve(a + lam * eye, -g)
+                step = np.linalg.solve(a, minus_g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -141,12 +146,11 @@ def _lm_minimize(fn, x0: np.ndarray, cfg: SearchConfig):
             if cn < cost:
                 x, r, jx, cost = xn, rn, jn, cn
                 lam = max(lam * 0.3, 1e-13)
-                improved = True
                 break
             lam *= 10.0
-        if not improved:
+        else:  # no trial step lowered the cost
             break
-    return x, float(np.max(np.abs(r)))
+    return x, float(abs(r).max())
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +348,25 @@ def _quadratic(op, left, right, slots) -> np.ndarray:
     return np.stack([_linear(functools.partial(op, a), right, slots) for a in left], axis=1)
 
 
-def _quadratic_value(T: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``T[z, s, t] p_s p_t``; ``np.matmul`` is the linear counterpart."""
-    return np.einsum("zst,s,t->z", T, p, p)
-
-
 class _MetricResidual:
     """Precompiled residual for one (complex structure, condition) pair.
 
     The metric 2-form is linear in nine real coefficients ``p``; every
-    condition residual is a linear or quadratic tensor in ``p``, precomputed
-    once with the exact frame operators and then evaluated in floats.
-    Conditions with a free certificate fit it per iterate: a real
-    least-squares fit over the tensors ``mu`` of the closed real one-forms,
-    or a fixed orthogonal projection off the potential columns ``beta``, the
-    same columns the exact checkers in ``herm`` solve with.
+    condition residual is a linear or quadratic tensor in ``p``, built once
+    with the exact frame operators and compiled into real floats:
+
+    * a condition with potential columns ``beta`` (the columns the exact
+      checkers in ``herm`` solve with) has the fixed orthogonal projection
+      off their span folded into its tensor ``T``;
+    * complex rows are real-stacked, real parts first and then imaginary
+      parts, so a real ``p`` gives the real residual rows directly;
+    * a quadratic ``T[z, s, t] p_s p_t`` is kept as ``S = T + T^T`` flattened
+      to ``(rows * 9, 9)``: its Jacobian is ``(S @ p).reshape(rows, 9)`` and
+      its value ``0.5 * jac @ p``.  A linear ``T p`` is its own Jacobian ``T``.
+
+    Conditions with a twisting one-form fit ``mu`` per iterate: a real
+    least-squares fit over the tensors of the closed real one-forms,
+    compiled the same way, to ``(rows, len(mu), 9)`` Jacobians.
     """
 
     def __init__(self, cx: Complexification, condition: str):
@@ -370,115 +378,94 @@ class _MetricResidual:
         mus = ([cx.to_alpha(m) for m in closed_one_forms(cx)]
                if condition in ("lck", "lcb", "lcskt") else [])
         beta = None  # potential columns; the residual is projected off their span
-        self._mu = []
+        mu = []
         if condition == "kahler":
-            self._T = _linear(frame.d, basis, d3)
+            T = _linear(frame.d, basis, d3)
         elif condition == "skt":
-            self._T = _linear(lambda b: frame.del_(frame.dbar(b)), basis, d4)
+            T = _linear(lambda b: frame.del_(frame.dbar(b)), basis, d4)
         elif condition == "tamed":
-            self._T = _linear(frame.del_, basis, d3)
+            T = _linear(frame.del_, basis, d3)
             beta = _columns(tamed_columns(frame), d3)
         elif condition in ("balanced", "lcb"):
-            self._T = _quadratic(lambda a, b: frame.d(a.wedge(b)), basis, basis, d5)
-            self._mu = [_quadratic(lambda a, b: m.wedge(a.wedge(b)), basis, basis, d5)
-                        for m in mus]
+            T = _quadratic(lambda a, b: frame.d(a.wedge(b)), basis, basis, d5)
+            mu = [_quadratic(lambda a, b: m.wedge(a.wedge(b)), basis, basis, d5)
+                  for m in mus]
         elif condition == "strongly_gauduchon":
-            self._T = _quadratic(lambda a, b: frame.del_(a.wedge(b)), basis, basis, d5)
+            T = _quadratic(lambda a, b: frame.del_(a.wedge(b)), basis, basis, d5)
             beta = _columns(strongly_gauduchon_columns(frame), d5)
         elif condition == "first_gauduchon":
             leads = [frame.del_(frame.dbar(b)) for b in basis]
-            self._T = _quadratic(Form.wedge, leads, basis, [(1, 2, 3, 4, 5, 6)])
+            T = _quadratic(Form.wedge, leads, basis, [(1, 2, 3, 4, 5, 6)])
         elif condition == "lck":
-            self._T = _linear(frame.d, basis, d3)
-            self._mu = [_linear(m.wedge, basis, d3) for m in mus]
+            T = _linear(frame.d, basis, d3)
+            mu = [_linear(m.wedge, basis, d3) for m in mus]
         else:  # lcskt: H = i(dbar - del)(omega), need dH = mu ^ H
             torsions = [_i_times(frame.dbar(b) - frame.del_(b)) for b in basis]
-            self._T = _linear(frame.d, torsions, d4)
-            self._mu = [_linear(m.wedge, torsions, d4) for m in mus]
-        self._proj = (None if beta is None
-                      else np.eye(beta.shape[0]) - beta @ np.linalg.pinv(beta))
-        # One evaluator for the main tensor and the mu tensors, of one degree,
-        # and its derivative in p: a linear T p has the constant slope T, a
-        # quadratic T[:, s, t] p_s p_t has the slope (T[:, s, t] + T[:, t, s]) p_t.
-        if self._T.ndim == 2:
-            self._value, self._slope = np.matmul, _constant_slope
-            self._dT, dmu = self._T, self._mu
-        else:
-            self._value, self._slope = _quadratic_value, np.matmul
-            self._dT, dmu = _symmetrized(self._T), [_symmetrized(m) for m in self._mu]
-        self._dmu = np.stack(dmu, axis=1) if dmu else None
+            T = _linear(frame.d, torsions, d4)
+            mu = [_linear(m.wedge, torsions, d4) for m in mus]
+        if beta is not None:
+            T = np.tensordot(np.eye(beta.shape[0]) - beta @ np.linalg.pinv(beta), T, axes=1)
+        self._quadratic = T.ndim == 3
+        self._rows = 2 * T.shape[0]
+        self._T = self._compiled(T)
+        self._mu = self._compiled(np.stack(mu, axis=1)) if mu else None
+
+    def _compiled(self, T: np.ndarray) -> np.ndarray:
+        T = np.concatenate([T.real, T.imag])
+        return (T + np.swapaxes(T, -1, -2)).reshape(-1, 9) if self._quadratic else T
+
+    def _linearize(self, D: np.ndarray, p: np.ndarray, shape):
+        """Value at ``p`` of the tensor compiled into ``D``, and its Jacobian."""
+        if not self._quadratic:
+            return D @ p, D
+        jac = (D @ p).reshape(shape)
+        return 0.5 * (jac @ p), jac
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
         return self.linearize(p)[0]
 
     def linearize(self, p: np.ndarray):
         """The residual at ``p`` and its exact Jacobian in ``p``."""
-        target = self._value(self._T, p)
-        slope = self._slope(self._dT, p)
-        if self._mu:
-            return self._fit_mu(target, slope, p)
-        if self._proj is not None:
-            target = self._proj @ target
-            slope = self._proj @ slope
-        return (np.concatenate([target.real, target.imag]),
-                np.concatenate([slope.real, slope.imag]))
+        target, slope = self._linearize(self._T, p, (self._rows, 9))
+        if self._mu is None:
+            return target, slope
+        return self._fit_mu(target, slope, p)
 
-    def _fit_mu(self, target: np.ndarray, slope: np.ndarray, p: np.ndarray):
-        """Residual of the least-squares fit of ``target`` by the mu columns
-        ``A``, and its Jacobian by variable projection (Golub-Pereyra 1973):
-        with ``sol`` the fit, ``P = I - A A^+`` and ``r`` the residual,
+    def _fit_mu(self, b: np.ndarray, db: np.ndarray, p: np.ndarray):
+        """Residual of the least-squares fit of ``b`` by the mu columns ``A``,
+        and its Jacobian by variable projection (Golub-Pereyra 1973): with
+        ``sol`` the fit, ``P = I - A A^+`` and ``r`` the residual,
         ``dr = P (db - dA sol) - (A^+)^T (dA^T r)``.
         """
-        A = np.stack([self._value(m, p) for m in self._mu], axis=1)
-        A = np.concatenate([A.real, A.imag])
-        b = np.concatenate([target.real, target.imag])
-        # A^+ = V S^-1 U^T over the singular values above lstsq's default cutoff
+        A, dA = self._linearize(self._mu, p, (self._rows, -1, 9))
+        # A^+ = V S^-1 U^T over the singular values (sorted descending) above
+        # lstsq's default cutoff
         u, sv, vt = np.linalg.svd(A, full_matrices=False)
-        keep = sv > np.finfo(float).eps * max(A.shape) * sv[0]
-        u, sv, vt = u[:, keep], sv[keep], vt[keep]
+        k = np.count_nonzero(sv > np.finfo(float).eps * max(A.shape) * sv[0])
+        u, sv, vt = u[:, :k], sv[:k], vt[:k]
         sol = vt.T @ ((u.T @ b) / sv)
         resid = b - A @ sol
-        dA = self._slope(self._dmu, p)
-        dA = np.concatenate([dA.real, dA.imag])
-        db = np.concatenate([slope.real, slope.imag])
-        off = db - np.einsum("zis,i->zs", dA, sol)
-        back = vt @ np.einsum("zis,z->is", dA, resid)
-        return resid, off - u @ (u.T @ off) - u @ (back / sv[:, None])
-
-
-def _constant_slope(T: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return T
-
-
-def _symmetrized(T: np.ndarray) -> np.ndarray:
-    return T + np.swapaxes(T, -1, -2)
-
-
-def _hermitian_from_raw(raw: np.ndarray):
-    """Cholesky parameterization: any raw vector maps to a positive matrix."""
-    L = np.zeros((3, 3), dtype=complex)
-    diag = np.exp(np.clip(raw[:3], -6.0, 6.0))
-    L[0, 0], L[1, 1], L[2, 2] = diag
-    L[1, 0] = raw[3] + 1j * raw[4]
-    L[2, 0] = raw[5] + 1j * raw[6]
-    L[2, 1] = raw[7] + 1j * raw[8]
-    return L @ L.conj().T
+        off = db - sol @ dA
+        back = vt @ (resid @ dA.reshape(self._rows, -1)).reshape(-1, 9)
+        return resid, off - u @ (u.T @ off + back / sv[:, None])
 
 
 def _p_from_raw(raw: np.ndarray):
-    """Metric coefficients ``p`` of ``H = L L^*`` at ``raw`` (see
-    :func:`_hermitian_from_raw`), and the Jacobian ``dp/draw``.
+    """Metric coefficients ``p`` of ``H = L L^*`` at ``raw``, the trace row
+    ``(l1 + l2 + l3 - 3) / 4`` that fixes the scale, and their ``(10, 9)``
+    Jacobian in ``raw``.  Every raw vector maps to a positive metric.
 
-    With ``L = [[a, 0, 0], [u, b, 0], [v, w, c]]``, ``p`` is ``(a^2, |u|^2 + b^2,
-    |v|^2 + |w|^2 + c^2, Re w1, Im w1, .., Im w3)`` for ``w1 = i H[1, 2] = i(u v^* + b w^*)``,
-    ``w2 = i H[0, 2] = i a v^*`` and ``w3 = i H[0, 1] = i a u^*``.
+    The Cholesky factor is ``L = [[a, 0, 0], [u, b, 0], [v, w, c]]``, with
+    ``(a, b, c) = exp(raw[:3])`` clipped and ``(u, v, w) = raw[3::2] + i raw[4::2]``;
+    ``p`` is ``(a^2, |u|^2 + b^2, |v|^2 + |w|^2 + c^2, Re w1, Im w1, .., Im w3)`` for
+    ``w1 = i H[1, 2] = i(u v^* + b w^*)``, ``w2 = i a v^*`` and ``w3 = i a u^*``.
     """
     l1, l2, l3, ur, ui, vr, vi, wr, wi = raw.tolist()
     a, b, c = (math.exp(min(max(x, -6.0), 6.0)) for x in (l1, l2, l3))
     # d exp(x) = exp(x), and 0 where the clip is active
     da, db, dc = (e if -6.0 < x < 6.0 else 0.0 for e, x in ((a, l1), (b, l2), (c, l3)))
-    p = np.array([a * a, ur * ur + ui * ui + b * b, vr * vr + vi * vi + wr * wr + wi * wi + c * c,
-                  ur * vi - ui * vr + b * wi, ur * vr + ui * vi + b * wr,
+    lams = (a * a, ur * ur + ui * ui + b * b, vr * vr + vi * vi + wr * wr + wi * wi + c * c)
+    p = np.array([*lams, ur * vi - ui * vr + b * wi, ur * vr + ui * vi + b * wr,
                   a * vi, a * vr, a * ui, a * ur])
     jac = np.array([
         2 * a * da, 0, 0, 0, 0, 0, 0, 0, 0,
@@ -490,34 +477,31 @@ def _p_from_raw(raw: np.ndarray):
         vr * da, 0, 0, 0, 0, a, 0, 0, 0,
         ui * da, 0, 0, 0, a, 0, 0, 0, 0,
         ur * da, 0, 0, a, 0, 0, 0, 0, 0,
-    ]).reshape(9, 9)
-    return p, jac
+        0.5 * a * da, 0.5 * b * db, 0.5 * c * dc, 0.5 * ur, 0.5 * ui,
+        0.5 * vr, 0.5 * vi, 0.5 * wr, 0.5 * wi,
+    ]).reshape(10, 9)
+    return p, 0.25 * (lams[0] + lams[1] + lams[2] - 3.0), jac
 
 
 def _metric_objective(residual: _MetricResidual, raw: np.ndarray):
     """The residual :func:`find_metric` minimizes at ``raw``, with the trace
-    row ``(l1 + l2 + l3 - 3) / 4`` that fixes the scale, and its exact Jacobian."""
-    p, dp = _p_from_raw(raw)
+    row of :func:`_p_from_raw` last, and its exact Jacobian."""
+    p, trace, dp = _p_from_raw(raw)
     r, jac = residual.linearize(p)
-    return (np.concatenate([r, [0.25 * (p[0] + p[1] + p[2] - 3.0)]]),
-            np.vstack([jac @ dp, 0.25 * (dp[0] + dp[1] + dp[2])]))
+    out, out_jac = np.empty(r.size + 1), np.empty((r.size + 1, 9))
+    out[:-1], out[-1] = r, trace
+    np.matmul(jac, dp[:9], out=out_jac[:-1])
+    out_jac[-1] = dp[9]
+    return out, out_jac
 
 
 def _exactify_metric(cx: Complexification, condition: str, raw: np.ndarray):
-    H = _hermitian_from_raw(raw)
-    tr = H[0, 0].real + H[1, 1].real + H[2, 2].real
-    H = H * (3.0 / tr)
-
-    def gr(z: complex, bound: int) -> GaussianRational:
-        return GaussianRational(
-            Fraction(z.real).limit_denominator(bound),
-            Fraction(z.imag).limit_denominator(bound),
-        )
-
+    p = _p_from_raw(raw)[0]
+    p = (p * (3.0 / (p[0] + p[1] + p[2]))).tolist()
     previous = None
     for bound in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 1000, 10**5):
-        lams = [Fraction(H[k, k].real).limit_denominator(bound) for k in range(3)]
-        ws = [gr(1j * H[1, 2], bound), gr(1j * H[0, 2], bound), gr(1j * H[0, 1], bound)]
+        q = [Fraction(x).limit_denominator(bound) for x in p]
+        lams, ws = q[:3], [GaussianRational(q[k], q[k + 1]) for k in (3, 5, 7)]
         if (lams, ws) == previous:
             continue  # the exact verdict on this candidate is already known
         previous = (lams, ws)

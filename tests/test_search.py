@@ -8,13 +8,20 @@ import pytest
 from hermlie import Complexification
 from hermlie.catalog import get_entry, list_entries
 from hermlie.cpx import is_integrable, nijenhuis, squares_to_minus_id
-from hermlie.herm import CHECKERS, fundamental_form, is_positive, metric_from_alpha_form
+from hermlie.herm import (
+    CHECKERS,
+    HermitianMetric,
+    fundamental_form,
+    is_positive,
+    metric_from_alpha_form,
+)
 from hermlie.liealg import parse_structure_equations
 from hermlie.scalars import GaussianRational
 from hermlie.search import (
     SearchConfig,
     _MetricResidual,
     _j_model,
+    _lm_minimize,
     _metric_objective,
     _structure_tensor,
     classification_sweep,
@@ -87,6 +94,43 @@ class TestResidualKernels:
         np.testing.assert_allclose(r, N + sq, rtol=1e-12, atol=1e-12)
 
 
+class TestLevenbergMarquardt:
+    @staticmethod
+    def rosenbrock(x):
+        return (np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+                np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]))
+
+    def test_rosenbrock_reaches_the_minimum(self):
+        x, nrm = _lm_minimize(self.rosenbrock, np.array([-1.2, 1.0]), SearchConfig())
+        assert nrm < 1e-10
+        np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-10)
+
+    def test_converged_start_is_returned_unchanged(self):
+        x0 = np.array([1.0, 1.0 + 1e-14])
+        x, nrm = _lm_minimize(self.rosenbrock, x0, SearchConfig(tol=1e-10))
+        assert np.array_equal(x, x0)
+        assert nrm == np.abs(self.rosenbrock(x0)[0]).max() < 1e-12
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 3, 10])
+    def test_at_most_eight_trial_steps_per_iteration(self, max_iters):
+        calls = []
+
+        def counted(fn):
+            def wrapped(x):
+                calls.append(x)
+                return fn(x)
+            return wrapped
+
+        cfg = SearchConfig(max_iters=max_iters)
+        _lm_minimize(counted(self.rosenbrock), np.array([-1.2, 1.0]), cfg)
+        assert 1 <= len(calls) <= 1 + 8 * max_iters
+        calls.clear()
+        # r = 1 + x^2 is smallest at the start x = 0, so the first iteration
+        # rejects all eight trial steps and the loop stops
+        _lm_minimize(counted(lambda x: (1.0 + x ** 2, np.array([2.0 * x]))), np.zeros(1), cfg)
+        assert len(calls) == 1 + 8 * min(max_iters, 1)
+
+
 class TestComplexStructureSearch:
     def test_abelian_found_immediately(self):
         out = find_complex_structure(ABELIAN, SearchConfig(restarts=1))
@@ -145,6 +189,35 @@ class TestMetricResidual:
         assert set(ex.conditions) <= holding
         for cond in holding:
             assert np.abs(_MetricResidual(cx, cond)(p)).max() < 1e-9, cond
+
+    @pytest.mark.parametrize("entry", list_entries(), ids=lambda e: e.name)
+    def test_matches_the_exact_residual(self, entry):
+        # the residual rows are the real, then the imaginary parts of the
+        # condition's form of omega = sum_s p_s B_s on its slots
+        cx = entry_complexification(entry)
+        frame = cx.frame
+        exact = {
+            "kahler": (3, lambda om: frame.d(om)),
+            "skt": (4, lambda om: frame.del_(frame.dbar(om))),
+            "balanced": (5, lambda om: frame.d(om.wedge(om))),
+            "first_gauduchon": (6, lambda om: frame.del_(frame.dbar(om)).wedge(om)),
+        }
+        rng = np.random.default_rng(11)
+        # dyadic p, so that the float p is the rational one
+        points = [[Fraction(int(k), 4) for k in rng.integers(-8, 9, 9)] for _ in range(3)]
+        residuals = {cond: _MetricResidual(cx, cond) for cond in exact}
+        for q in points:
+            omega = fundamental_form(HermitianMetric(
+                q[:3], [GaussianRational(q[k], q[k + 1]) for k in (3, 5, 7)]))
+            for cond, (deg, op) in exact.items():
+                form = op(omega)
+                coeffs = [complex(GaussianRational.coerce(form.coeffs.get(t, 0)))
+                          for t in combinations(range(1, 7), deg)]
+                want = np.array([c.real for c in coeffs] + [c.imag for c in coeffs])
+                got = residuals[cond](np.array([float(x) for x in q]))
+                scale = max(1.0, np.abs(want).max())
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale,
+                                           err_msg=cond)
 
     @pytest.mark.parametrize("entry", list_entries(), ids=lambda e: e.name)
     def test_jacobian_matches_central_difference(self, entry):
