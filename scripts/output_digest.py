@@ -26,7 +26,11 @@ Digests, one line each:
 * ``metric``: on the same structures and conditions, the status and
   per-restart residuals of one short ``search.find_metric``
   (``METRIC_SEARCH``).  Unlike ``search``, it pins the search's float
-  arithmetic, Jacobian included, so a change to that arithmetic changes it.
+  arithmetic, Jacobian included, so a change to that arithmetic changes it;
+* ``check``: ``hermlie --json check FILE``, manifest removed, on every golden
+  example with an omega, on the same example with -omega, on one omega that
+  is not of type (1,1) under its J, and on one J that is not integrable, so
+  that both verdicts of the positivity test are pinned.
 
 Each CLI digest also covers the command's exit code.  Run it from any
 directory, at two commits, and compare the lines:
@@ -40,6 +44,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +160,53 @@ def _metric() -> list:
     return out
 
 
+def _example_row(ex, **changes) -> dict:
+    """A ``check`` input describing ``ex``, in the ``verify-catalog --dump``
+    row format, with some fields replaced."""
+    row = {
+        "algebra": ex.algebra,
+        "equations": ex.equations,
+        "params": {k: str(v) for k, v in ex.params.items()},
+        "j_images": ({str(k): v for k, v in ex.j_images.items()}
+                     if ex.j_images else None),
+        "j_matrix": ex.j_matrix,
+        "omega": ex.omega,
+    }
+    row.update(changes)
+    return row
+
+
+def _negated(ex) -> str:
+    """-omega of ``ex`` as form text with numeric coefficients."""
+    return " + ".join(f"({-c})f{i}{j}" for (i, j), c in sorted(ex.omega_form().coeffs.items()))
+
+
+def _check_inputs() -> list:
+    golden = [ex for entry in catalog.list_entries() for ex in entry.examples if ex.omega]
+    rows = []
+    for ex in golden:
+        rows.append(_example_row(ex))
+        rows.append(_example_row(ex, omega=_negated(ex)))
+    kahler = catalog.get_entry("s3.3^0+R3").examples[0]
+    # the (1,1) part is positive; f13 - f24 is the real part of a (2,0)-form
+    rows.append(_example_row(kahler, omega="f12+f34+f56+f13-f24"))
+    # J f5 = 2 f6 squares to -Id but is not integrable
+    twisted = catalog.get_entry("s6.154^0").examples[0]
+    rows.append(_example_row(twisted, j_images={"1": "f2", "3": "f4", "5": "2f6"},
+                             j_matrix=None))
+    return rows
+
+
+def _check() -> list:
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "check.json"
+        for row in _check_inputs():
+            path.write_text(json.dumps(row), encoding="utf-8")
+            out.append([row, _json_without_manifest(["check", str(path)])])
+    return out
+
+
 def main() -> int:
     print(f"verify-catalog {_sha(_json_without_manifest(['verify-catalog']))}")
     print(f"obstruction    {_sha(_obstructions())}")
@@ -165,6 +217,7 @@ def main() -> int:
     print(f"lattice        {_sha(_lattice())}")
     print(f"residual       {_sha(_residual())}")
     print(f"metric         {_sha(_metric())}")
+    print(f"check          {_sha(_check())}")
     return 0
 
 

@@ -640,14 +640,6 @@ def get_entry(name: str) -> CatalogEntry:
     raise KeyError(f"no catalog entry named {name!r}")
 
 
-def default_parameters(name: str) -> dict:
-    return dict(get_entry(name).defaults)
-
-
-def example_structures(name: str) -> list[ExampleStructure]:
-    return list(get_entry(name).examples)
-
-
 # ---------------------------------------------------------------------------
 # verification helpers
 
@@ -682,7 +674,7 @@ def verify_entry(entry: CatalogEntry) -> dict:
 
 def verify_example(ex: ExampleStructure) -> dict:
     """Check one golden example end to end with exact arithmetic."""
-    from .herm import CHECKERS, is_positive_real, verify_twisted_certificate
+    from .herm import CHECKERS, is_positive_form, verify_twisted_certificate
 
     g = ex.algebra_instance()
     report = {"algebra": ex.algebra, "constraint": ex.constraint, "ok": True}
@@ -693,10 +685,9 @@ def verify_example(ex: ExampleStructure) -> dict:
         report["conditions"] = {}
         return report
     cx = Complexification.from_real(g, J)
-    om_real = ex.omega_form()
-    if not is_positive_real(cx, om_real):
+    om = cx.to_alpha(ex.omega_form())
+    if not is_positive_form(om):
         return {**report, "ok": False, "error": "omega not positive"}
-    om = cx.to_alpha(om_real)
     results = {}
     for cond in ex.conditions:
         results[cond] = bool(CHECKERS[cond](cx, om))
@@ -707,14 +698,3 @@ def verify_example(ex: ExampleStructure) -> dict:
         report["mu_certificate"] = mu_ok
         report["ok"] = report["ok"] and mu_ok
     return report
-
-
-def condition_counts() -> dict:
-    """Number of catalog entries admitting each condition for some allowed
-    parameter value (claims with status other than "never")."""
-    counts = {c: 0 for c in CONDITIONS}
-    for e in list_entries():
-        for c in CONDITIONS:
-            if e.claims.get(c, "never") != "never":
-                counts[c] += 1
-    return counts

@@ -253,7 +253,7 @@ def cmd_verify_catalog(args, manifest: RunManifest) -> int:
 
 def cmd_check(args, manifest: RunManifest) -> int:
     from .cpx import Complexification, is_integrable, nijenhuis, squares_to_minus_id
-    from .herm import is_positive_real
+    from .herm import is_positive_form
 
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -271,17 +271,15 @@ def cmd_check(args, manifest: RunManifest) -> int:
     integrable = is_integrable(g, J)
     report["J_integrable"] = integrable
     if not integrable:
-        nz = sum(1 for comps in nijenhuis(g, J).values()
-                 for c in comps if GaussianRational.coerce(c).re
-                 or GaussianRational.coerce(c).im)
+        nz = sum(1 for comps in nijenhuis(g, J).values() for c in comps if c)
         report["note"] = (f"J is not integrable ({nz} nonzero torsion components); "
                           "only J-level checks were run")
     elif om_real is not None:
         cx = Complexification.from_real(g, J)
-        positive = is_positive_real(cx, om_real)
+        om = cx.to_alpha(om_real)
+        positive = is_positive_form(om)
         report["omega_positive"] = positive
         if positive:
-            om = cx.to_alpha(om_real)
             report["conditions"] = {
                 name: {"holds": bool(rep), "certificate": _jsonable(rep.certificate),
                        "notes": rep.notes}

@@ -2,8 +2,7 @@
 
 Two coordinate worlds coexist here:
 
-* the *real* basis ``f_1..f_6`` (equivalently ``e_1..e_6`` for realified
-  families), in which Lie algebras and J matrices live;
+* the *real* basis ``f_1..f_6``, in which Lie algebras and J matrices live;
 * the *complex* coframe basis, a 6-element indexing of
   ``(alpha^1, alpha^2, alpha^3, conj alpha^1, conj alpha^2, conj alpha^3)``
   as indices 1..6.  A monomial's bidegree (p, q) counts indices <= 3 versus
@@ -13,8 +12,8 @@ Two coordinate worlds coexist here:
 second world -- the coefficients may be exact Gaussian rationals, symbolic
 polynomials, or floats -- and provides d, del, dbar.
 :class:`Complexification` ties a frame to an actual real Lie algebra with an
-integrable J, in either direction (J given on a real algebra, or a family's
-complex equations realified through ``alpha^k = e^{2k-1} + i e^{2k}``).
+integrable J given on it.  The named families of :func:`instantiate_family`
+are complex structure equations only, so they are bare frames.
 """
 
 from __future__ import annotations
@@ -228,13 +227,6 @@ class ComplexFrame:
 # tying frames to real algebras
 
 
-def _real_part(c) -> GaussianRational:
-    c = GaussianRational.coerce(c)
-    if c.im:
-        raise ValueError(f"expected a real coefficient, got {c!r}")
-    return c
-
-
 class Complexification:
     """A real algebra with integrable J plus the induced complex coframe.
 
@@ -286,36 +278,6 @@ def standard_j(dim: int = 6) -> list:
     return J
 
 
-def realify(frame: ComplexFrame, name: Optional[str] = None) -> Complexification:
-    """Real Lie algebra underlying exact complex structure equations.
-
-    Uses the fixed identification ``alpha^k = e^{2k-1} + i e^{2k}`` with the
-    standard J.  Requires Gaussian-rational coefficients.
-    """
-    dim = 2 * HOLO
-    # alpha-basis 1-forms written in the real coframe
-    img = {}
-    for k in range(HOLO):
-        img[k + 1] = Form(dim, 1, {(2 * k + 1,): GR_ONE, (2 * k + 2,): GR_I})
-        img[k + 4] = Form(dim, 1, {(2 * k + 1,): GR_ONE, (2 * k + 2,): -GR_I})
-    to_real = BasisChange(img)
-    half = GaussianRational("1/2")
-    half_i = GaussianRational(0, "-1/2")
-    d1 = []
-    for j in range(1, dim + 1):
-        k = (j + 1) // 2
-        da = to_real(frame.d_alpha[k - 1])
-        dac = to_real(frame.d_alpha[k + 2])
-        if j % 2:  # e^{2k-1} = (alpha + conj)/2
-            de = (da + dac) * half
-        else:      # e^{2k} = (alpha - conj)/(2i)
-            de = (da - dac) * half_i
-        d1.append(de.map_coefficients(_real_part))
-    g = LieAlgebra(dim, d1, name=name)
-    alphas = [img[k + 1] for k in range(HOLO)]
-    return Complexification(g, standard_j(dim), alphas, check=False)
-
-
 # ---------------------------------------------------------------------------
 # families of complex structure equations
 
@@ -332,22 +294,6 @@ def _alpha_k_wedge_re3(k: int, coeff=1) -> Form:
 def _alpha_k_wedge_re1(k: int, coeff=1) -> Form:
     """coeff * alpha^k ^ (alpha^1 - conj alpha^1)."""
     return _two((k, 1), coeff) - _two((k, 4), coeff)
-
-
-class FamilyInstance:
-    """A family of complex structure equations at chosen parameter values."""
-
-    def __init__(self, family_id: str, params: dict, frame: ComplexFrame):
-        self.family_id = family_id
-        self.params = dict(params)
-        self.frame = frame
-        self._cx: Optional[Complexification] = None
-
-    def complexification(self) -> Complexification:
-        """Realified algebra (exact coefficients only); cached."""
-        if self._cx is None:
-            self._cx = realify(self.frame, name=self.family_id)
-        return self._cx
 
 
 def _unit_circle(params: dict) -> GaussianRational:
@@ -616,7 +562,7 @@ def _inv(z) -> GaussianRational:
     return GaussianRational.coerce(z).inverse()
 
 
-def instantiate_family(family_id: str, params: Optional[Mapping] = None) -> FamilyInstance:
+def instantiate_family(family_id: str, params: Optional[Mapping] = None) -> ComplexFrame:
     """Complex structure equations of a named family at parameter values.
 
     Parameter values may be exact (int/Fraction/GaussianRational) or
@@ -632,4 +578,4 @@ def instantiate_family(family_id: str, params: Optional[Mapping] = None) -> Fami
         d10 = _n5_family(family_id, params)
     else:
         raise KeyError(f"unknown family {family_id!r}")
-    return FamilyInstance(family_id, params, ComplexFrame(d10))
+    return ComplexFrame(d10)

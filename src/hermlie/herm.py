@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .cpx import HOLO, Complexification, ComplexFrame
+from .cpx import HOLO, Complexification, ComplexFrame, monomial_type
 from .forms import Form, all_index_tuples
 from .liealg import ce_differential
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, conj_scalar
@@ -66,7 +66,7 @@ def fundamental_form(metric: HermitianMetric) -> Form:
     })
 
 
-def metric_from_alpha_form(omega: Form, shape: str = "full") -> HermitianMetric:
+def metric_from_alpha_form(omega: Form) -> HermitianMetric:
     """Read the coefficient data off a (1,1)-form in the complex coframe."""
     i_inv = -GR_I
 
@@ -75,10 +75,7 @@ def metric_from_alpha_form(omega: Form, shape: str = "full") -> HermitianMetric:
         return GaussianRational.coerce(c) if not isinstance(c, complex) else c
 
     lams = [i_inv * g(k, k) for k in (1, 2, 3)]
-    ws = [g(2, 3), g(1, 3), g(1, 2)]
-    if shape == "almost_abelian":
-        ws = [ws[0], GR_ZERO, GR_ZERO]
-    return HermitianMetric(lams, ws, shape=shape)
+    return HermitianMetric(lams, [g(2, 3), g(1, 3), g(1, 2)])
 
 
 def is_positive(metric: HermitianMetric) -> bool:
@@ -102,29 +99,12 @@ def is_positive(metric: HermitianMetric) -> bool:
     return bool(c1 and c2 and c3 and c4 and c5)
 
 
-def gram_matrix(cx: Complexification, omega_real: Form) -> list:
-    """g(X, Y) = omega(X, JY) on the real basis."""
-    n = cx.g.dim
-    J = cx.J
-    cols = [[J[i][j] for i in range(n)] for j in range(n)]
-    basis = [[GR_ONE if t == i else GR_ZERO for t in range(n)] for i in range(n)]
-    return [[omega_real.evaluate(basis[i], cols[j]) for j in range(n)] for i in range(n)]
-
-
-def is_positive_real(cx: Complexification, omega_real: Form) -> bool:
-    """Positivity through leading principal minors of the Gram matrix."""
-    G = linalg.coerce_matrix(gram_matrix(cx, omega_real))
-    n = len(G)
-    for i in range(n):
-        for j in range(n):
-            if G[i][j] != G[j][i]:
-                return False
-    for k in range(1, n + 1):
-        mk = [row[:k] for row in G[:k]]
-        d = linalg.det(mk)
-        if d.im or d.re <= 0:
-            return False
-    return True
+def is_positive_form(omega: Form) -> bool:
+    """Exact positivity of a real 2-form given in the complex coframe: it is
+    of type (1,1), i.e. J-invariant, and its Hermitian matrix is positive."""
+    if any(monomial_type(key) != (1, 1) for key in omega.coeffs):
+        return False
+    return is_positive(metric_from_alpha_form(omega))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ For an almost nilpotent algebra ``g = n ⋊ span(X)``, a cocompact lattice in
 the corresponding simply connected group can be constructed whenever there
 are a nonzero ``t`` and a rational basis of ``n`` in which the matrix of
 ``exp(t ad_X|_n)`` has integer entries.  This module evaluates that matrix
-(float scaling-and-squaring in general, an exact truncated series when
-``ad_X`` is nilpotent) and tests integrality to a tolerance.  ``t`` is never
+in floats with scipy's scaling-and-squaring ``expm``, whatever ``ad_X`` is,
+and tests integrality to a tolerance.  ``t`` is never
 searched for automatically: it comes from the caller or from
 :data:`BUILTIN_PROBES`.  ``X`` and ``t`` are read by the structure-equation
 parser of :mod:`hermlie.liealg`, with ``pi`` (or ``π``) as the one name.

@@ -99,24 +99,3 @@ def inverse(mat: Sequence[Sequence]) -> Matrix:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in r]
-
-
-def det(mat: Sequence[Sequence]) -> GaussianRational:
-    a = coerce_matrix(mat)
-    n = len(a)
-    sign = GR_ONE
-    out = GR_ONE
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if a[i][c]), None)
-        if pivot_row is None:
-            return GR_ZERO
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            sign = -sign
-        out = out * a[c][c]
-        inv = a[c][c].inverse()
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [a[i][j] - f * a[c][j] for j in range(n)]
-    return sign * out

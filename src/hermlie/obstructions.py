@@ -300,7 +300,7 @@ def _contexts(row: ObstructionRow):
             params.update(sample)
             ctx = ReplayContext(ring, params)
             ctx.residual = _build_residual(
-                row, ctx, instantiate_family(row.family_id, params).frame)
+                row, ctx, instantiate_family(row.family_id, params))
             yield ctx
 
 

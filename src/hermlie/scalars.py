@@ -310,9 +310,10 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 class Poly:
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: Mapping[Monomial, GaussianRational]):
+    def __init__(self, ring: PolyRing, terms: dict[Monomial, GaussianRational]):
+        # every constructor drops zero coefficients, so ``terms`` holds none
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = terms
 
     # -- predicates ----------------------------------------------------
     def __bool__(self):
@@ -393,12 +394,10 @@ class Poly:
         return out
 
     def conj(self) -> "Poly":
+        # conjugation permutes the variables, so monomials map one to one
         ci = self.ring.conj_index
-        terms: dict = {}
-        for m, c in self.terms.items():
-            nm = tuple(sorted((ci[idx], e) for idx, e in m))
-            terms[nm] = terms.get(nm, GR_ZERO) + c.conj()
-        return Poly(self.ring, terms)
+        return Poly(self.ring, {tuple(sorted((ci[idx], e) for idx, e in m)): c.conj()
+                                for m, c in self.terms.items()})
 
     # -- substitution --------------------------------------------------
     def substitute(self, values: Mapping[str, object]) -> "Poly":

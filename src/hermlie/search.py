@@ -235,10 +235,6 @@ def j_residual_kernel():
     return _j_residual
 
 
-def _is_zero_scalar(c) -> bool:
-    return not GaussianRational.coerce(c)
-
-
 def _exactify_j(g: LieAlgebra, x: np.ndarray):
     """Rational reconstruction of a float J plus exact integrability check."""
     vals = x.reshape(6, 6)
@@ -255,7 +251,7 @@ def _exactify_j(g: LieAlgebra, x: np.ndarray):
         if not squares_to_minus_id(Jq):
             continue
         comps = nijenhuis(g, Jq)
-        if all(_is_zero_scalar(c) for vec in comps.values() for c in vec):
+        if not any(c for vec in comps.values() for c in vec):
             return Jq
     return None
 

@@ -171,34 +171,34 @@ def test_key_residuals_recomputed_from_scratch():
     # four closed-form residuals, rebuilt here without the replay registry
     ring = PolyRing(real_vars=["l1", "l2", "l3"],
                     complex_vars=["w1", "w2", "w3", "nu"])
-    fam = instantiate_family("N51-145", {"nu": ring.var("nu"), "c": 1})
-    c = first_gauduchon_coefficient(fam.frame, _generic_omega(ring))
+    frame = instantiate_family("N51-145", {"nu": ring.var("nu"), "c": 1})
+    c = first_gauduchon_coefficient(frame, _generic_omega(ring))
     l1 = ring.var("l1")
     assert ring.coerce(c) == -2 * l1 * l1
 
     ring = PolyRing(real_vars=["l1", "l2", "l3"],
                     complex_vars=["w1", "w2", "w3"])
-    fam = instantiate_family("HT-s6.162^1", {})
+    frame = instantiate_family("HT-s6.162^1", {})
     om = _generic_omega(ring)
-    dH = fam.frame.d(torsion_H(fam.frame, om))
+    dH = frame.d(torsion_H(frame, om))
     assert ring.coerce(dH.coeff(2, 3, 5, 6)) == 4 * ring.var("l1")
 
     for eps in (1, -1):
         ring = PolyRing(real_vars=["l1", "l2", "l3", "b1", "b2", "b3"],
                         complex_vars=["w1", "w2", "w3"])
-        fam = instantiate_family("HT-h3+s3.3^0", {"eps": eps})
+        frame = instantiate_family("HT-h3+s3.3^0", {"eps": eps})
         om = _generic_omega(ring)
         l1, l2 = ring.var("l1"), ring.var("l2")
         w3 = ring.var("w3")
         # strongly-Gauduchon residual against an arbitrary potential
         beta = Form(6, 3, {(1, 2, 3): ring.one()}).wedge(Form(6, 1, {
             (4,): ring.var("b1"), (5,): ring.var("b2"), (6,): ring.var("b3")}))
-        res = fam.frame.del_(om.wedge(om)) - fam.frame.dbar(beta)
+        res = frame.del_(om.wedge(om)) - frame.dbar(beta)
         expected = (-2 * eps) * GR_I * (l1 * l2 - w3 * w3.conj())
         assert ring.coerce(res.coeff(1, 2, 3, 5, 6)) == expected
         # taming residual against an arbitrary del-closed (2,0)-potential
         beta2 = Form(6, 2, {(1, 2): ring.var("b1"), (1, 3): ring.var("b2")})
-        res2 = fam.frame.del_(om) - fam.frame.dbar(beta2)
+        res2 = frame.del_(om) - frame.dbar(beta2)
         assert ring.coerce(res2.coeff(1, 3, 6)) == eps * l1
 
 

@@ -4,9 +4,6 @@ import pytest
 from hermlie.catalog import (
     CATALOG_VERSION,
     CONDITIONS,
-    condition_counts,
-    default_parameters,
-    example_structures,
     get_entry,
     list_entries,
     negative_controls,
@@ -36,7 +33,10 @@ class TestRegistryShape:
         assert len(names) == len(set(names))
 
     def test_condition_counts(self):
-        assert condition_counts() == EXPECTED_COUNTS
+        # entries admitting each condition for some allowed parameter value
+        counts = {c: sum(e.claims.get(c, "never") != "never" for e in list_entries())
+                  for c in CONDITIONS}
+        assert counts == EXPECTED_COUNTS
 
     def test_catalog_version_is_set(self):
         assert isinstance(CATALOG_VERSION, str) and CATALOG_VERSION
@@ -45,11 +45,6 @@ class TestRegistryShape:
         assert get_entry("s6.25").name == "s6.25"
         with pytest.raises(KeyError):
             get_entry("does-not-exist")
-
-    def test_default_parameters_copy(self):
-        d = default_parameters("s6.21^p,q,r,-2(p+q)")
-        d["p"] = 99
-        assert default_parameters("s6.21^p,q,r,-2(p+q)")["p"] != 99
 
     def test_controls_admit_no_complex_structure(self):
         for e in negative_controls():
@@ -89,14 +84,14 @@ class TestVerification:
 
     @pytest.mark.parametrize("name", ["s3.3^0+R3", "s6.154^0", "s5.4^0+R"])
     def test_verify_examples(self, name):
-        for ex in example_structures(name):
+        for ex in get_entry(name).examples:
             report = verify_example(ex)
             assert report["ok"], report
 
     def test_verify_example_detects_bad_omega(self):
         import dataclasses
 
-        ex = example_structures("s6.25")[0]
+        ex = get_entry("s6.25").examples[0]
         bad = dataclasses.replace(ex, omega="f15+f23-f46")
         report = verify_example(bad)
         assert not report["ok"]
@@ -104,7 +99,7 @@ class TestVerification:
     def test_verify_example_detects_bad_j(self):
         import dataclasses
 
-        ex = example_structures("s6.154^0")[0]
+        ex = get_entry("s6.154^0").examples[0]
         bad = dataclasses.replace(ex, j_images={1: "f2", 3: "f4", 5: "2f6"},
                                   j_matrix=None)
         report = verify_example(bad)

@@ -12,12 +12,11 @@ from hermlie.cpx import (
     is_integrable,
     j_from_images,
     nijenhuis,
-    realify,
     squares_to_minus_id,
     standard_j,
 )
 from hermlie.forms import Form, all_index_tuples
-from hermlie.liealg import ce_differential, jacobi_holds, parse_structure_equations
+from hermlie.liealg import ce_differential, parse_structure_equations
 from hermlie.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
 
 ABELIAN = parse_structure_equations("(0, 0, 0, 0, 0, 0)")
@@ -155,10 +154,9 @@ class TestFamilies:
         ("N51-145", {"nu": 0, "c": 1}),
     ])
     def test_realified_families_are_lie_algebras(self, fid, params):
-        fam = instantiate_family(fid, params)
-        assert fam.frame.integrable()
-        cx = fam.complexification()
-        assert jacobi_holds(cx.g)
+        # d^2 = 0 on the frame is the Jacobi identity of the real algebra
+        # that the family's complex structure equations describe
+        assert instantiate_family(fid, params).integrable()
 
     def test_unknown_family(self):
         with pytest.raises(KeyError):

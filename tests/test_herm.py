@@ -1,16 +1,19 @@
 """Hermitian metrics, derived quantities, and the structure checkers.
 
-Oracles: metric positivity against numerical eigenvalues; torsion/Lee forms on
+Oracles: metric positivity against numerical eigenvalues, of the 3x3 Hermitian
+matrix and of the real Gram matrix omega(X, JY); torsion/Lee forms on
 catalog structures whose values are recomputed here by hand (the torsion
 3-form of the s6.154^0 twisted example and the Lee form of the s5.4^0+R
 pluriclosed example have short closed-form expressions).
 """
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hermlie import Complexification
-from hermlie.catalog import get_entry
+from hermlie.catalog import get_entry, list_entries
 from hermlie.forms import Form
 from hermlie.herm import (
     CHECKERS,
@@ -20,9 +23,8 @@ from hermlie.herm import (
     closed_one_forms,
     first_gauduchon_coefficient,
     fundamental_form,
-    gram_matrix,
     is_positive,
-    is_positive_real,
+    is_positive_form,
     lee_form,
     metric_from_alpha_form,
     torsion_H,
@@ -38,6 +40,21 @@ def example_cx(name, condition):
     g = ex.algebra_instance()
     cx = Complexification.from_real(g, ex.j())
     return ex, cx, cx.to_alpha(ex.omega_form())
+
+
+def gram_verdict(cx, omega_real, margin=1e-9):
+    """Float positivity of g(X, Y) = omega(X, JY) on the real basis: False if
+    g is not symmetric, None if its smallest eigenvalue is within ``margin``
+    of 0."""
+    n = cx.g.dim
+    basis = [[GR_ONE if t == i else GR_ZERO for t in range(n)] for i in range(n)]
+    jcols = [[cx.J[i][j] for i in range(n)] for j in range(n)]
+    G = np.array([[complex(GaussianRational.coerce(omega_real.evaluate(basis[i], jcols[j])))
+                   for j in range(n)] for i in range(n)])
+    if np.abs(G - G.T).max() > margin:
+        return False
+    low = np.linalg.eigvalsh(G.real).min()
+    return None if abs(low) <= margin else bool(low > 0)
 
 
 def gr(re, im=0):
@@ -69,8 +86,6 @@ class TestMetrics:
             z = complex(x)
             return GaussianRational(Fraction(z.real), Fraction(z.imag))
 
-        import numpy as np
-
         lams_gr = [to_gr(l) for l in lams]
         ws_gr = [to_gr(w) for w in ws]
         m = HermitianMetric(lams_gr, ws_gr)
@@ -93,16 +108,45 @@ class TestMetrics:
     def test_real_and_alpha_positivity_agree(self):
         _, cx, om = example_cx("s6.25", "skt")
         assert is_positive(metric_from_alpha_form(om))
-        assert is_positive_real(cx, cx.to_real(om))
-        assert not is_positive_real(cx, -cx.to_real(om))
+        assert is_positive_form(om)
+        assert not is_positive_form(-om)
 
-    def test_gram_matrix_symmetric(self):
-        _, cx, om = example_cx("s6.25", "skt")
-        G = gram_matrix(cx, cx.to_real(om))
-        for i in range(6):
-            for j in range(6):
-                assert GaussianRational.coerce(G[i][j]) == \
-                    GaussianRational.coerce(G[j][i])
+    def test_positive_form_matches_gram_eigenvalues(self):
+        # golden +-omega, random metrics with one w scaled across the
+        # positivity boundary, and golden omega plus a random real 2-form,
+        # which is almost never of type (1,1)
+        rng = random.Random(13)
+
+        def q(lo, hi):
+            return Fraction(rng.randint(lo, hi), rng.randint(1, 4))
+
+        verdicts = {True: 0, False: 0}
+        for entry in list_entries():
+            for ex in entry.examples:
+                if not ex.omega:
+                    continue
+                cx = Complexification.from_real(ex.algebra_instance(), ex.j())
+                om_real = ex.omega_form()
+                forms = [om_real, -om_real]
+                for _ in range(2):
+                    ws = [GaussianRational(q(-2, 2), q(-2, 2)) for _ in range(3)]
+                    k = rng.randrange(3)
+                    for scale in ("1/4", "1/2", "1", "2", "4"):
+                        ws_k = [w * GaussianRational(scale) if i == k else w
+                                for i, w in enumerate(ws)]
+                        metric = HermitianMetric([q(2, 8) for _ in range(3)], ws_k)
+                        forms.append(cx.to_real(fundamental_form(metric)))
+                noise = Form(6, 2, {(i, j): GaussianRational(Fraction(rng.randint(-2, 2), 16))
+                                    for i in range(1, 7) for j in range(i + 1, 7)})
+                forms.append(om_real + noise)
+                for form in forms:
+                    expected = gram_verdict(cx, form)
+                    if expected is None:
+                        continue
+                    assert is_positive_form(cx.to_alpha(form)) == expected, \
+                        (ex.algebra, form)
+                    verdicts[expected] += 1
+        assert min(verdicts.values()) > 100, verdicts
 
 
 class TestDerivedQuantities:

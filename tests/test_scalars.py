@@ -314,3 +314,22 @@ class TestPolyRing:
         r = self.ring()
         p = r.var("x") * r.var("z~") + 1
         assert p.variables() == {"x", "z~"}
+
+    def test_no_zero_coefficient_is_stored(self):
+        # Poly stores the terms it is given: every operation must drop zeros,
+        # or equal polynomials would compare unequal
+        r = self.ring()
+        x, z = r.var("x"), r.var("z")
+        polys = [
+            (x + z) * (x - z) - x * x + z * z,
+            (x + GR_I * z) * (x - GR_I * z) - x * x - z * z,
+            -(x - x),
+            (z + z.conj()).conj() - z - r.var("z~"),
+            (x * z + 3).substitute({"x": 0}) - 3,
+            r.constant(GR_ZERO) + r.zero() * x,
+            (x - 1) ** 2 - x * x + 2 * x,
+        ]
+        for p in polys:
+            assert all(p.terms.values()), p
+        assert polys[:-1] == [r.zero()] * 6
+        assert polys[-1] == r.one()
