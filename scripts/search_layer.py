@@ -7,14 +7,18 @@ The cells are the ``search-evidence`` cells of ``search.classification_sweep``
 at seed 0 and its default restarts and iterations, the ones in which
 ``report-table`` runs ``search.find_metric``.  Per condition it prints:
 
+* ``build ms``: the median over its cells of the time of one
+  ``search._MetricResidual`` construction, on a fresh
+  ``search.entry_complexification`` so that the frame's image caches start
+  cold;
 * ``us/call``: the median over its cells of the time of one
   ``search._metric_objective`` call (the residual, its Jacobian and the
   Cholesky map), each the best of 5 repeats of 200 calls at seeded points;
 * ``restarts/s``: the restarts of ``search.find_metric`` on its cells at the
   sweep's config, over their time, the median of 3 passes.
 
-The last line sums the cells.  Run it at two commits on the same machine and
-compare the columns.
+The last line sums the cells, ``build ms`` as the total over them.  Run it
+at two commits on the same machine and compare the columns.
 """
 from __future__ import annotations
 
@@ -35,16 +39,25 @@ CALLS, REPEATS, PASSES = 200, 5, 3
 
 
 def evidence_cells(cfg) -> dict:
-    """Condition -> complexifications of the entries it is searched on."""
+    """Condition -> (entry, complexification) of the entries it is searched
+    on; the conditions of one entry share its complexification."""
     sweep = search.classification_sweep(cfg=cfg)
     cells = {}
     for row in sweep["rows"]:
         conds = [c for c, cell in row["cells"].items() if cell["status"] == "search-evidence"]
         if conds:
-            cx = search.entry_complexification(catalog.get_entry(row["algebra"]))
+            entry = catalog.get_entry(row["algebra"])
+            cx = search.entry_complexification(entry)
             for cond in conds:
-                cells.setdefault(cond, []).append(cx)
+                cells.setdefault(cond, []).append((entry, cx))
     return cells
+
+
+def build_ms(entry, cond: str) -> float:
+    cx = search.entry_complexification(entry)  # fresh, so its caches are cold
+    t0 = time.perf_counter()
+    search._MetricResidual(cx, cond)
+    return (time.perf_counter() - t0) * 1e3
 
 
 def us_per_call(cx, cond: str) -> float:
@@ -75,15 +88,20 @@ def main() -> int:
     # the config classification_sweep uses when given none, at a fixed seed
     cfg = search.SearchConfig(seed=SEED, restarts=8, max_iters=40)
     cells = evidence_cells(cfg)
-    print(f"{'condition':20s} {'cells':>5s} {'us/call':>8s} {'restarts':>8s} {'restarts/s':>10s}")
-    total_restarts, total_s = 0, 0.0
-    for cond, cxs in cells.items():
+    print(f"{'condition':20s} {'cells':>5s} {'build ms':>8s} {'us/call':>8s} "
+          f"{'restarts':>8s} {'restarts/s':>10s}")
+    total_restarts, total_s, total_build = 0, 0.0, 0.0
+    for cond, pairs in cells.items():
+        builds = [build_ms(entry, cond) for entry, _ in pairs]
+        cxs = [cx for _, cx in pairs]
         us = statistics.median(us_per_call(cx, cond) for cx in cxs)
         restarts, rate = restarts_per_s(cxs, cond, cfg)
         total_restarts += restarts
         total_s += restarts / rate
-        print(f"{cond:20s} {len(cxs):5d} {us:8.1f} {restarts:8d} {rate:10.1f}")
-    print(f"{'all':20s} {sum(map(len, cells.values())):5d} {'':>8s} "
+        total_build += sum(builds)
+        print(f"{cond:20s} {len(cxs):5d} {statistics.median(builds):8.2f} {us:8.1f} "
+              f"{restarts:8d} {rate:10.1f}")
+    print(f"{'all':20s} {sum(map(len, cells.values())):5d} {total_build:8.2f} {'':>8s} "
           f"{total_restarts:8d} {total_restarts / total_s:10.1f}")
     return 0
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .cpx import Complexification, is_integrable, j_from_images
+from .cpx import is_integrable, j_from_images
 from .forms import Form
 from .liealg import (
     LieAlgebra,
@@ -676,15 +676,13 @@ def verify_example(ex: ExampleStructure) -> dict:
     """Check one golden example end to end with exact arithmetic."""
     from .herm import CHECKERS, is_positive_form, verify_twisted_certificate
 
-    g = ex.algebra_instance()
     report = {"algebra": ex.algebra, "constraint": ex.constraint, "ok": True}
-    J = ex.j()
-    if not is_integrable(g, J):
+    cx = is_integrable(ex.algebra_instance(), ex.j())
+    if cx is None:
         return {**report, "ok": False, "error": "J not integrable"}
     if not ex.omega:
         report["conditions"] = {}
         return report
-    cx = Complexification.from_real(g, J)
     om = cx.to_alpha(ex.omega_form())
     if not is_positive_form(om):
         return {**report, "ok": False, "error": "omega not positive"}

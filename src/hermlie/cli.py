@@ -130,7 +130,7 @@ def _example_from_json(row, where: str) -> ExampleStructure:
     describes.  ``equations`` may be left out when ``algebra`` names a catalog
     entry.  Every expression is parsed here, so a malformed row raises
     ``_SchemaError`` with ``where`` in its message."""
-    from .liealg import parse_scalar
+    from .liealg import jacobi_holds, parse_scalar
 
     try:
         if not isinstance(row, dict):
@@ -150,7 +150,8 @@ def _example_from_json(row, where: str) -> ExampleStructure:
             omega=row.get("omega", ""),
             mu=row.get("mu"),
         )
-        ex.algebra_instance()
+        if not jacobi_holds(ex.algebra_instance()):
+            raise ValueError("the structure equations break the Jacobi identity (d^2 != 0)")
         ex.j()
         ex.mu_form()
         if ex.omega:
@@ -252,7 +253,7 @@ def cmd_verify_catalog(args, manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args, manifest: RunManifest) -> int:
-    from .cpx import Complexification, is_integrable, nijenhuis, squares_to_minus_id
+    from .cpx import is_integrable, nijenhuis, squares_to_minus_id
     from .herm import is_positive_form
 
     try:
@@ -268,14 +269,13 @@ def cmd_check(args, manifest: RunManifest) -> int:
     om_real = ex.omega_form() if ex.omega else None
 
     report = {"algebra": ex.algebra, "J_squares_to_minus_id": squares_to_minus_id(J)}
-    integrable = is_integrable(g, J)
-    report["J_integrable"] = integrable
-    if not integrable:
+    cx = is_integrable(g, J)
+    report["J_integrable"] = cx is not None
+    if cx is None:
         nz = sum(1 for comps in nijenhuis(g, J).values() for c in comps if c)
         report["note"] = (f"J is not integrable ({nz} nonzero torsion components); "
                           "only J-level checks were run")
     elif om_real is not None:
-        cx = Complexification.from_real(g, J)
         om = cx.to_alpha(om_real)
         positive = is_positive_form(om)
         report["omega_positive"] = positive

@@ -9,8 +9,8 @@ Two coordinate worlds coexist here:
   indices > 3.
 
 :class:`ComplexFrame` carries complex structure equations directly in the
-second world -- the coefficients may be exact Gaussian rationals, symbolic
-polynomials, or floats -- and provides d, del, dbar.
+second world -- the coefficients may be exact Gaussian rationals or symbolic
+polynomials -- and provides d, del, dbar.
 :class:`Complexification` ties a frame to an actual real Lie algebra with an
 integrable J given on it.  The named families of :func:`instantiate_family`
 are complex structure equations only, so they are bare frames.
@@ -84,8 +84,8 @@ def j_from_images(images: Mapping[int, Sequence], dim: int = 6) -> list:
 def nijenhuis(g: LieAlgebra, J: Sequence[Sequence]) -> dict:
     """Nijenhuis tensor as {(i, j): component vector of N(f_i, f_j)}, i < j.
 
-    N(X, Y) = [X, Y] + J[JX, Y] + J[X, JY] - [JX, JY]; works for exact,
-    symbolic (generic J entries), or float scalars.
+    N(X, Y) = [X, Y] + J[JX, Y] + J[X, JY] - [JX, JY]; works for exact or
+    symbolic (generic J entries) scalars.
     """
     n = g.dim
     basis = [[GR_ONE if t == i else GR_ZERO for t in range(n)] for i in range(n)]
@@ -109,11 +109,14 @@ def generic_j_ring(dim: int = 6) -> tuple[PolyRing, list]:
     return ring, J
 
 
-def is_integrable(g: LieAlgebra, J: Sequence[Sequence]) -> bool:
-    """J^2 = -Id and N = 0, cross-checked against d(Lambda^{1,0}) having no
-    (0,2) part."""
+def is_integrable(g: LieAlgebra, J: Sequence[Sequence]) -> Optional["Complexification"]:
+    """The complexification of (g, J) if J^2 = -Id and N = 0, else None.
+
+    N = 0 is cross-checked against d(Lambda^{1,0}) having no (0,2) part, and
+    the frame passes the check of :meth:`Complexification.from_real`, so a
+    caller builds no second one."""
     if not squares_to_minus_id(J):
-        return False
+        return None
     nj = nijenhuis(g, J)
     vanishes = all(not any(v) for v in nj.values())
     cx = Complexification.from_real(g, J, check=False)
@@ -123,7 +126,11 @@ def is_integrable(g: LieAlgebra, J: Sequence[Sequence]) -> bool:
     )
     if vanishes != no02:
         raise AssertionError("integrability cross-check failed")
-    return vanishes
+    if not vanishes:
+        return None
+    if not cx.frame.integrable():  # d^2 = 0 too, as from_real checks
+        raise ValueError("J is not integrable")
+    return cx
 
 
 def coframe_from_J(g: LieAlgebra, J: Sequence[Sequence]) -> list[Form]:

@@ -2,9 +2,8 @@
 
 A :class:`Form` is a homogeneous element of the exterior algebra over a
 coframe ``f^1, ..., f^dim``: a dict mapping strictly increasing index tuples
-to scalar coefficients.  The scalar type is generic -- exact
-(:class:`~hermlie.scalars.GaussianRational`, :class:`~hermlie.scalars.Poly`)
-for certified computations, plain ``complex`` for the numeric search path.
+to exact coefficients, :class:`~hermlie.scalars.GaussianRational` (ints and
+Fractions mix in) or :class:`~hermlie.scalars.Poly` for symbolic families.
 Zero coefficients are dropped eagerly, so ``bool(form)`` is "is nonzero".
 
 A :class:`MonomialMap` is a linear map of forms fixed by the image of each
@@ -16,9 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from itertools import combinations
-from typing import Callable, Sequence
-
-from .scalars import conj_scalar
+from typing import Sequence
 
 
 def merge_sign(a: tuple, b: tuple):
@@ -214,16 +211,6 @@ class Form:
         for v in vectors:
             f = f.contract(v)
         return f.coeffs.get((), 0)
-
-    # -- coefficient-wise operations ------------------------------------
-    def map_coefficients(self, fn: Callable) -> "Form":
-        out = Form.zero(self.dim, self.degree)
-        out.coeffs = {k: v for k, v in ((k, fn(c)) for k, c in self.coeffs.items()) if v}
-        return out
-
-    def conjugate(self) -> "Form":
-        """Coefficient-wise complex conjugation (basis indices untouched)."""
-        return self.map_coefficients(conj_scalar)
 
     # -- display --------------------------------------------------------
     def __repr__(self):

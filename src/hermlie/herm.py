@@ -42,11 +42,6 @@ class HermitianMetric:
 
     lams: Sequence  # three real scalars
     ws: Sequence    # three complex scalars
-    shape: str = "full"  # "almost_abelian" forces w2 = w3 = 0
-
-    def __post_init__(self):
-        if self.shape == "almost_abelian" and (self.ws[1] or self.ws[2]):
-            raise ValueError("almost abelian metric shape requires w2 = w3 = 0")
 
 
 def fundamental_form(metric: HermitianMetric) -> Form:
@@ -71,8 +66,7 @@ def metric_from_alpha_form(omega: Form) -> HermitianMetric:
     i_inv = -GR_I
 
     def g(j, k):
-        c = omega.coeff(j, _bar(k))
-        return GaussianRational.coerce(c) if not isinstance(c, complex) else c
+        return GaussianRational.coerce(omega.coeff(j, _bar(k)))
 
     lams = [i_inv * g(k, k) for k in (1, 2, 3)]
     return HermitianMetric(lams, [g(2, 3), g(1, 3), g(1, 2)])

@@ -3,8 +3,9 @@
 For an almost nilpotent algebra ``g = n ⋊ span(X)``, a cocompact lattice in
 the corresponding simply connected group can be constructed whenever there
 are a nonzero ``t`` and a rational basis of ``n`` in which the matrix of
-``exp(t ad_X|_n)`` has integer entries.  This module evaluates that matrix
-in floats with scipy's scaling-and-squaring ``expm``, whatever ``ad_X`` is,
+``exp(t ad_X|_n)`` has integer entries.  This module computes ``ad_X|_n``
+exactly, from the rational value of each float of ``X``, rounds it to floats
+once, evaluates the exponential with scipy's scaling-and-squaring ``expm``
 and tests integrality to a tolerance.  ``t`` is never
 searched for automatically: it comes from the caller or from
 :data:`BUILTIN_PROBES`.  ``X`` and ``t`` are read by the structure-equation
@@ -23,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import linalg
 from .scalars import GaussianRational
 from .liealg import LieAlgebra, find_nilradical, parse_form, parse_scalar
 
@@ -83,23 +85,22 @@ def nilradical_basis(g: LieAlgebra) -> list:
 
 
 def ad_restricted(g: LieAlgebra, X: Sequence[float], basis) -> np.ndarray:
-    """Matrix of ``ad_X`` on ``span(basis)``; error if the span moves."""
-    n = g.dim
-    B = np.array([[float(x) for x in row] for row in basis], dtype=float).T
-    x = [float(v) for v in X]
-    ad = g.ad_matrix(x)
-    A6 = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            v = complex(ad[i][j])
-            if abs(v.imag) > 1e-12:
-                raise ValueError("ad_X must be real")
-            A6[i, j] = v.real
-    M = A6 @ B
-    coords, *_ = np.linalg.lstsq(B, M, rcond=None)
-    if np.max(np.abs(B @ coords - M)) > 1e-9:
-        raise ValueError("ad_X does not preserve the span of the given basis")
-    return coords
+    """Matrix of ``ad_X`` on ``span(basis)``; error if the span moves.
+
+    Each float of ``X`` is read as the rational it stores exactly, and column
+    ``j`` holds the exact coordinates of ``[X, basis[j]]`` in ``basis``; the
+    matrix is rounded to floats once, at the end.
+    """
+    x = [GaussianRational(Fraction(v)) for v in X]
+    rows = [[GaussianRational(Fraction(c)) for c in row] for row in basis]
+    columns = [list(col) for col in zip(*rows)]  # basis vectors as columns
+    coords = []
+    for b in rows:
+        c = linalg.solve(columns, g.bracket(x, b))
+        if c is None:
+            raise ValueError("ad_X does not preserve the span of the given basis")
+        coords.append([float(v.re) for v in c])
+    return np.array(coords).T
 
 
 def exp_ad(g: LieAlgebra, probe: LatticeProbe) -> np.ndarray:

@@ -58,7 +58,7 @@ class LieAlgebra:
         return -c
 
     def bracket(self, u: Sequence, v: Sequence) -> list:
-        """Bracket of vectors given by components (generic scalar type).
+        """Bracket of vectors given by exact or symbolic components.
 
         A table, built on the first call, lists for each pair j < k the nonzero
         c^i_jk; w = u_j v_k - u_k v_j is formed from its nonzero factors only."""
@@ -76,14 +76,6 @@ class LieAlgebra:
                 for i, c in terms:
                     out[i] = out[i] + c * w
         return out
-
-    def ad_matrix(self, x: Sequence) -> list:
-        """Matrix of ad_x = [x, .] (columns are ad_x(f_j))."""
-        cols = []
-        for j in range(self.dim):
-            e = [GR_ONE if t == j else GR_ZERO for t in range(self.dim)]
-            cols.append(self.bracket(x, e))
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     def __repr__(self):
         label = self.name or f"dim {self.dim}"

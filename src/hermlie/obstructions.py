@@ -204,9 +204,7 @@ def _omega(ring: PolyRing, shape: str) -> Form:
     zero = ring.zero()
     ws = [ring.var("w1"), zero, zero] if shape == "almost_abelian" else [
         ring.var("w1"), ring.var("w2"), ring.var("w3")]
-    m = HermitianMetric(
-        lams=[ring.var("l1"), ring.var("l2"), ring.var("l3")],
-        ws=ws, shape=shape)
+    m = HermitianMetric(lams=[ring.var("l1"), ring.var("l2"), ring.var("l3")], ws=ws)
     return fundamental_form(m)
 
 

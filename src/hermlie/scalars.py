@@ -15,9 +15,9 @@ Two exact coefficient rings:
   automatically.
 
 Mixed arithmetic coerces upward: ``int``/``Fraction`` -> ``GaussianRational``
--> ``Poly``.  Multiplying a ``GaussianRational`` by a Python float/complex
-falls through to ordinary complex floating point, which is what the numeric
-search code relies on.
+-> ``Poly``.  A Python float or complex never mixes with them: the operation
+raises ``TypeError``, so an exact value cannot silently become a float.  The
+numeric code converts with ``complex(x)`` at its own boundary.
 """
 
 from __future__ import annotations
@@ -121,8 +121,6 @@ class GaussianRational:
         if isinstance(other, Fraction):
             q = other.denominator
             return _make(self._a * q + other.numerator * self._d, self._b * q, self._d * q)
-        if isinstance(other, (float, complex)):
-            return complex(self) + other
         return NotImplemented
 
     __radd__ = __add__
@@ -138,8 +136,6 @@ class GaussianRational:
             return _make(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
         if isinstance(other, (int, Fraction)):
             return self.__add__(-other)
-        if isinstance(other, (float, complex)):
-            return complex(self) - other
         return NotImplemented
 
     def __rsub__(self, other):
@@ -154,8 +150,6 @@ class GaussianRational:
         if isinstance(other, Fraction):
             p = other.numerator
             return _make(self._a * p, self._b * p, self._d * other.denominator)
-        if isinstance(other, (float, complex)):
-            return complex(self) * other
         return NotImplemented
 
     __rmul__ = __mul__
@@ -172,8 +166,6 @@ class GaussianRational:
             other = GaussianRational(other)
         if isinstance(other, GaussianRational):
             return self * other.inverse()
-        if isinstance(other, (float, complex)):
-            return complex(self) / other
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -461,9 +453,7 @@ def conj_scalar(s):
     """Complex conjugation dispatch for every supported scalar type."""
     if isinstance(s, (GaussianRational, Poly)):
         return s.conj()
-    if isinstance(s, complex):
-        return s.conjugate()
-    if isinstance(s, (int, float, Fraction)):
+    if isinstance(s, (int, Fraction)):
         return s
     raise TypeError(f"cannot conjugate {type(s).__name__}")
 

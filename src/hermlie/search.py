@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .scalars import GaussianRational
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
 from .forms import Form
 from .liealg import LieAlgebra
 from .cpx import (
@@ -51,12 +51,12 @@ from .cpx import (
 from .herm import (
     CHECKERS,
     HermitianMetric,
-    _bar,
     closed_one_forms,
     fundamental_form,
     is_positive,
     strongly_gauduchon_columns,
     tamed_columns,
+    torsion_H,
 )
 
 __all__ = [
@@ -292,41 +292,24 @@ def find_complex_structure(g: LieAlgebra, cfg: Optional[SearchConfig] = None) ->
 # metric search
 # ---------------------------------------------------------------------------
 
-def _cnum(x) -> complex:
-    if isinstance(x, GaussianRational):
-        return complex(x)
-    if isinstance(x, complex):
-        return x
-    return complex(float(x))
-
-
 def _slots(deg: int):
     return list(itertools.combinations(range(1, 7), deg))
 
 
 def _vec(form: Form, slots) -> np.ndarray:
-    return np.array([_cnum(form.coeffs.get(t, 0)) for t in slots], dtype=complex)
+    """The exact coefficients of ``form`` on ``slots``, rounded to complex."""
+    return np.array([complex(form.coeffs.get(t, GR_ZERO)) for t in slots], dtype=complex)
 
 
 def _metric_basis_forms():
-    """Nine real-coefficient 2-forms spanning the Hermitian metric forms.
-
-    Coefficient order: (l1, l2, l3, x1, y1, x2, y2, x3, y3) with
-    w_k = x_k + i y_k.
-    """
+    """The fundamental forms of the nine unit coefficient vectors
+    (l1, l2, l3, x1, y1, x2, y2, x3, y3), with w_k = x_k + i y_k."""
     basis = []
-    for k in (1, 2, 3):
-        basis.append(Form(6, 2, {(k, _bar(k)): 1j}))
-    for (a, bb), (c, d) in (((2, _bar(3)), (3, _bar(2))),
-                            ((1, _bar(3)), (3, _bar(1))),
-                            ((1, _bar(2)), (2, _bar(1)))):
-        basis.append(Form(6, 2, {(a, bb): 1.0, (c, d): -1.0}))
-        basis.append(Form(6, 2, {(a, bb): 1j, (c, d): 1j}))
+    for s in range(9):
+        p = [GR_ONE if t == s else GR_ZERO for t in range(9)]
+        ws = [p[k] + p[k + 1] * GR_I for k in (3, 5, 7)]
+        basis.append(fundamental_form(HermitianMetric(p[:3], ws)))
     return basis
-
-
-def _i_times(form: Form) -> Form:
-    return form.map_coefficients(lambda c: _cnum(c) * 1j)
 
 
 def _columns(forms, slots) -> np.ndarray:
@@ -396,7 +379,7 @@ class _MetricResidual:
             T = _linear(frame.d, basis, d3)
             mu = [_linear(m.wedge, basis, d3) for m in mus]
         else:  # lcskt: H = i(dbar - del)(omega), need dH = mu ^ H
-            torsions = [_i_times(frame.dbar(b) - frame.del_(b)) for b in basis]
+            torsions = [torsion_H(frame, b) for b in basis]
             T = _linear(frame.d, torsions, d4)
             mu = [_linear(m.wedge, torsions, d4) for m in mus]
         if beta is not None:

@@ -133,9 +133,8 @@ def test_twisted_example_details():
     cx = Complexification.from_real(ex.algebra_instance(), ex.j())
     om = cx.to_alpha(ex.omega_form())
     H = cx.to_real(torsion_H(cx.frame, om))
-    expected = (Form.basis(6, (1, 4, 6)) - Form.basis(6, (2, 5, 6))
-                - Form.basis(6, (3, 4, 5))).map_coefficients(
-                    GaussianRational.coerce)
+    expected = (Form.basis(6, (1, 4, 6), GR_ONE) - Form.basis(6, (2, 5, 6), GR_ONE)
+                - Form.basis(6, (3, 4, 5), GR_ONE))
     assert H == expected
     slots = all_index_tuples(6, 2)
     rows = []
@@ -160,11 +159,10 @@ def test_obstruction_replay():
     assert elapsed < 30.0, f"replay took {elapsed:.2f}s (budget 30s)"
 
 
-def _generic_omega(ring, shape="full"):
-    ws = ([ring.var("w1"), ring.zero(), ring.zero()] if shape == "almost_abelian"
-          else [ring.var("w1"), ring.var("w2"), ring.var("w3")])
+def _generic_omega(ring):
     return fundamental_form(HermitianMetric(
-        [ring.var("l1"), ring.var("l2"), ring.var("l3")], ws, shape))
+        [ring.var("l1"), ring.var("l2"), ring.var("l3")],
+        [ring.var("w1"), ring.var("w2"), ring.var("w3")]))
 
 
 def test_key_residuals_recomputed_from_scratch():

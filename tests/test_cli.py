@@ -61,6 +61,7 @@ class TestVerifyCatalog:
         ("equations", "(f23, 0, 0, 0, 0)"),
         ("params", {"p": "1/0"}),
         ("conditions", ["frobnicated"]),
+        ("equations", "(f34, 0, 0, 0, f12, 0)"),  # N = 0 but not a Lie algebra
     ])
     def test_malformed_row_exit_code(self, dumped_catalog, tmp_path, capsys,
                                      field, value):
@@ -132,6 +133,8 @@ class TestCheck:
         ["s5.16+R"],
         {"algebra": "nope", "equations": "(0, 0, 0, 0, 0, 0)",
          "j_images": {"1": "f2", "3": "f4", "5": "f6"}},
+        {"algebra": "s3.3^0+R3", "equations": "(f34, 0, 0, 0, f12, 0)",
+         "j_images": {"1": "f2", "3": "f4", "5": "f6"}, "omega": "f12+f34+f56"},
     ])
     def test_malformed_input(self, tmp_path, capsys, spec):
         path = tmp_path / "in.json"

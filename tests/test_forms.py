@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hermlie.forms import BasisChange, Form, all_index_tuples, merge_sign, sort_sign
-from hermlie.scalars import GR_ONE, GaussianRational
+from hermlie.scalars import GR_ONE
 
 
 def f(*indices):
@@ -76,11 +76,6 @@ class TestAlgebra:
         swap = BasisChange({1: f(2), 2: f(1)})
         assert swap(swap(w)) == w
         assert swap(w) == -f(1, 2) + 3 * f(1, 5)
-
-    def test_conjugate(self):
-        w = Form(6, 1, {(1,): GaussianRational(Fraction(1), Fraction(2))})
-        assert w.conjugate() == Form(
-            6, 1, {(1,): GaussianRational(Fraction(1), Fraction(-2))})
 
     def test_all_index_tuples(self):
         assert len(all_index_tuples(6, 2)) == 15

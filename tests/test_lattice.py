@@ -3,6 +3,7 @@
 Oracle for the exact nilpotent exponential: scipy's dense ``expm``.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,7 +64,6 @@ class TestParsing:
 class TestExponentials:
     def test_exact_nilpotent_matches_expm(self):
         rng = np.random.default_rng(0)
-        from fractions import Fraction
 
         for _ in range(10):
             A_num = np.triu(rng.integers(-3, 4, (5, 5)), k=1).astype(float)
@@ -75,8 +75,6 @@ class TestExponentials:
                 np.array([[float(x) for x in row] for row in exact]), dense)
 
     def test_exact_exp_rejects_non_nilpotent(self):
-        from fractions import Fraction
-
         A = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
         with pytest.raises(ValueError):
             exact_exp_nilpotent(A, Fraction(1))
@@ -98,6 +96,26 @@ class TestProbes:
         with pytest.raises(ValueError):
             # span(f1, f2, f3) is not ad_X-invariant on this algebra
             ad_restricted(g, [1, 1, 1, 1, 1, 1], basis[:3])
+
+    def test_ad_restricted_in_a_scaled_and_sheared_basis(self):
+        # new basis row j is sum_i P[i][j] * (coordinate row i), so the matrix
+        # of ad_X in it is P^-1 A P, A the matrix in the coordinate basis
+        g = get_entry("s6.147^0").algebra_instance(presentation="table1")
+        X = parse_vector("f6-((pi-1)/pi)f5")
+        coord = nilradical_basis(g)
+        A = ad_restricted(g, X, coord)
+        P = [[Fraction(p) for p in row] for row in (
+            [2, "1/3", 0, -1, 0],
+            [0, "-1/2", 1, 0, 3],
+            [0, 0, 3, "2/5", 0],
+            [0, 0, 0, 1, -2],
+            [0, 0, 0, 0, "7/4"])]
+        basis = [[sum(P[i][j] * coord[i][k] for i in range(5)) for k in range(6)]
+                 for j in range(5)]
+        Pf = np.array(P, dtype=float)
+        assert np.abs(A).max() > 0.5
+        assert np.allclose(ad_restricted(g, X, basis), np.linalg.solve(Pf, A @ Pf),
+                           rtol=0, atol=1e-12)
 
     def test_run_probe_irrational_time_not_integral(self):
         g = get_entry("s6.154^0").algebra_instance()

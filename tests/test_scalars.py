@@ -162,14 +162,8 @@ class TestDifferential:
             assert got[0] == want[0]
             if got[0] == "ok":
                 assert _canonical(got[1]) == want[1]
-        elif swap and op == "/":
+        else:  # a float or complex never mixes with an exact scalar
             assert got[0] == "TypeError"
-        else:
-            cx = _pair_complex(x)
-            want = _outcome(lambda: _BINARY[op](*((y, cx) if swap else (cx, y))))
-            assert got[0] == want[0]
-            if got[0] == "ok":
-                assert type(got[1]) is complex and _bits(got[1]) == _bits(want[1])
 
     @DIFFERENTIAL
     @given(pairs, other_operands)
