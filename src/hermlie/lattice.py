@@ -93,7 +93,7 @@ def ad_restricted(g: LieAlgebra, X: Sequence[float], basis) -> np.ndarray:
     """
     x = [GaussianRational(Fraction(v)) for v in X]
     rows = [[GaussianRational(Fraction(c)) for c in row] for row in basis]
-    columns = [list(col) for col in zip(*rows)]  # basis vectors as columns
+    columns = list(zip(*rows))  # basis vectors as columns
     coords = []
     for b in rows:
         c = linalg.solve(columns, g.bracket(x, b))
