@@ -50,6 +50,6 @@ from .search import (
     find_metric,
     classification_sweep,
 )
-from .lattice import LatticeProbe, exp_ad, integrality_check, run_probe, builtin_probe
+from .lattice import integrality_check, run_probe, builtin_probe
 
 __version__ = "0.1.0"

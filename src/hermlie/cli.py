@@ -39,7 +39,6 @@ _STATUS_SYMBOL = {
     "obstruction-replayed": "O",
     "search-evidence": "e",
     "mismatch": "X",
-    "out-of-scope": ".",
 }
 
 

@@ -150,21 +150,13 @@ def coframe_from_J(g: LieAlgebra, J: Sequence[Sequence]) -> list[Form]:
 
 def conj_alpha(form: Form) -> Form:
     """Conjugation in the alpha basis: conjugate coefficients, swap k <-> k+3."""
-    dim = form.dim
+    # the swap permutes the monomials, so each one is written exactly once
     out: dict[tuple, object] = {}
     for key, c in form.coeffs.items():
         mapped = tuple((i + HOLO) if i <= HOLO else (i - HOLO) for i in key)
         sign, sorted_key = sort_sign(mapped)
-        cc = conj_scalar(c)
-        if sign == -1:
-            cc = -cc
-        cur = out.get(sorted_key)
-        cc = cc if cur is None else cur + cc
-        if cc:
-            out[sorted_key] = cc
-        else:
-            out.pop(sorted_key, None)
-    res = Form.zero(dim, form.degree)
+        out[sorted_key] = conj_scalar(c) if sign == 1 else -conj_scalar(c)
+    res = Form.zero(form.dim, form.degree)
     res.coeffs = out
     return res
 
@@ -513,7 +505,7 @@ def _n5_family(family_id: str, params: dict) -> list[Form]:
             + _two((2, 5), z2)
             + _two((2, 6), -(rez2 * z2 + i * delta))
             + _two((3, 5), z1 - rez2 * z2)
-            + _two((3, 6), rez2 * rez2 * z2 - rez2 * z1 + i * half * delta * _cj(z2))
+            + _two((3, 6), rez2 * rez2 * z2 - rez2 * z1 + i * half * delta * conj_scalar(z2))
         )
         d2 = (
             _two((2, 3), rez2)
@@ -535,7 +527,7 @@ def _n5_family(family_id: str, params: dict) -> list[Form]:
         rez, imz = re_part(z), im_part(z)
         X2 = X * X
         inv2X2 = _inv(2 * X2)
-        c23 = inv2X2 * (z * _cj(z) - X * (Y + i))
+        c23 = inv2X2 * (z * conj_scalar(z) - X * (Y + i))
         c22b = _inv(X2) * z
         c23b = -(_inv(X2) * rez * z)
         c32b = -(inv2X2 * (z * z + X * (Y - i)))
@@ -559,10 +551,6 @@ def _n5_family(family_id: str, params: dict) -> list[Form]:
         d3 = -_two((2, 3)) - _two((3, 5)) + _two((3, 6), rez)
         return [d1, d2, d3]
     raise KeyError(family_id)
-
-
-def _cj(z):
-    return conj_scalar(GaussianRational.coerce(z) if isinstance(z, (int, str)) else z)
 
 
 def _inv(z) -> GaussianRational:

@@ -3,13 +3,14 @@
 For an almost nilpotent algebra ``g = n ⋊ span(X)``, a cocompact lattice in
 the corresponding simply connected group can be constructed whenever there
 are a nonzero ``t`` and a rational basis of ``n`` in which the matrix of
-``exp(t ad_X|_n)`` has integer entries.  This module computes ``ad_X|_n``
-exactly, from the rational value of each float of ``X``, rounds it to floats
-once, evaluates the exponential with scipy's scaling-and-squaring ``expm``
-and tests integrality to a tolerance.  ``t`` is never
-searched for automatically: it comes from the caller or from
-:data:`BUILTIN_PROBES`.  ``X`` and ``t`` are read by the structure-equation
-parser of :mod:`hermlie.liealg`, with ``pi`` (or ``π``) as the one name.
+``exp(t ad_X|_n)`` has integer entries.  :func:`run_probe` is one path from
+text to verdict: it parses ``X`` and ``t`` with the structure-equation parser
+of :mod:`hermlie.liealg` (``pi`` or ``π`` is the one name), computes ``ad_X``
+exactly on the rational basis of :func:`~hermlie.liealg.find_nilradical`,
+from the rational value of each float of ``X``, rounds it to floats once,
+evaluates the exponential with scipy's scaling-and-squaring ``expm`` and tests
+integrality to a tolerance.  ``t`` is never searched for automatically: it
+comes from the caller or from :data:`BUILTIN_PROBES`.
 
 The probe is one-sided: an integral matrix certifies the construction
 applies, while a non-integral one for a particular ``(X, t, basis)`` decides
@@ -18,7 +19,6 @@ nothing.  For ``s6.152`` the probe is inconclusive by design.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,14 +29,11 @@ from .scalars import GaussianRational
 from .liealg import LieAlgebra, find_nilradical, parse_form, parse_scalar
 
 __all__ = [
-    "LatticeProbe",
     "parse_time",
     "parse_vector",
     "ad_restricted",
-    "exp_ad",
     "exact_exp_nilpotent",
     "integrality_check",
-    "nilradical_basis",
     "run_probe",
     "builtin_probe",
     "BUILTIN_PROBES",
@@ -60,30 +57,6 @@ def parse_vector(text: str, dim: int = 6) -> np.ndarray:
                      for i in range(1, dim + 1)])
 
 
-@dataclass
-class LatticeProbe:
-    """One integrality probe: direction ``X``, time ``t``, rational basis."""
-
-    X: Sequence[float]
-    t: float
-    basis: Sequence[Sequence[Fraction]]
-    tolerance: float = 1e-9
-
-
-def nilradical_basis(g: LieAlgebra) -> list:
-    """Rational basis rows of the nilradical, as Fractions."""
-    rows = []
-    for row in find_nilradical(g):
-        out = []
-        for x in row:
-            x = GaussianRational.coerce(x)
-            if x.im:
-                raise ValueError("nilradical basis must be rational")
-            out.append(Fraction(x.re))
-        rows.append(out)
-    return rows
-
-
 def ad_restricted(g: LieAlgebra, X: Sequence[float], basis) -> np.ndarray:
     """Matrix of ``ad_X`` on ``span(basis)``; error if the span moves.
 
@@ -92,7 +65,7 @@ def ad_restricted(g: LieAlgebra, X: Sequence[float], basis) -> np.ndarray:
     matrix is rounded to floats once, at the end.
     """
     x = [GaussianRational(Fraction(v)) for v in X]
-    rows = [[GaussianRational(Fraction(c)) for c in row] for row in basis]
+    rows = [[GaussianRational.coerce(c) for c in row] for row in basis]
     columns = list(zip(*rows))  # basis vectors as columns
     coords = []
     for b in rows:
@@ -101,14 +74,6 @@ def ad_restricted(g: LieAlgebra, X: Sequence[float], basis) -> np.ndarray:
             raise ValueError("ad_X does not preserve the span of the given basis")
         coords.append([float(v.re) for v in c])
     return np.array(coords).T
-
-
-def exp_ad(g: LieAlgebra, probe: LatticeProbe) -> np.ndarray:
-    """``exp(t ad_X)`` on the probe basis (float scaling-and-squaring)."""
-    from scipy.linalg import expm  # imported here: the probe is its only user
-
-    A = ad_restricted(g, probe.X, probe.basis)
-    return expm(probe.t * A)
 
 
 def exact_exp_nilpotent(A, t) -> list:
@@ -157,11 +122,10 @@ BUILTIN_PROBES = {
 def run_probe(g: LieAlgebra, x_text: str, t_text: str,
               tolerance: float = 1e-9, name: Optional[str] = None) -> dict:
     """Evaluate one probe and report the matrix with its integrality verdict."""
-    X = parse_vector(x_text, g.dim)
-    t = parse_time(t_text)
-    basis = nilradical_basis(g)
-    probe = LatticeProbe(X, t, basis, tolerance)
-    M = exp_ad(g, probe)
+    from scipy.linalg import expm  # imported here: the probe is its only user
+
+    A = ad_restricted(g, parse_vector(x_text, g.dim), find_nilradical(g))
+    M = expm(parse_time(t_text) * A)
     integral, rounded = integrality_check(M, tolerance)
     return {
         "algebra": name or g.name,
@@ -176,7 +140,7 @@ def run_probe(g: LieAlgebra, x_text: str, t_text: str,
     }
 
 
-def builtin_probe(name: str, g: Optional[LieAlgebra] = None) -> dict:
+def builtin_probe(name: str) -> dict:
     """Run the stored probe for a catalog algebra, if one is known."""
     if name not in BUILTIN_PROBES:
         raise KeyError(f"no built-in probe for {name!r}")
@@ -187,11 +151,8 @@ def builtin_probe(name: str, g: Optional[LieAlgebra] = None) -> dict:
             "status": "inconclusive",
             "note": "lattice existence deliberately left open for this algebra",
         }
-    x_text, t_text, presentation = spec
-    if g is None:
-        from .catalog import get_entry
+    from .catalog import get_entry
 
-        entry = get_entry(name)
-        g = (entry.algebra_instance(presentation=presentation)
-             if presentation else entry.algebra_instance())
+    x_text, t_text, presentation = spec
+    g = get_entry(name).algebra_instance(presentation=presentation)
     return run_probe(g, x_text, t_text, name=name)

@@ -66,6 +66,19 @@ def _reduced(a: int, b: int, d: int) -> "GaussianRational":
     return x
 
 
+def _power(base, n: int, one):
+    """``base ** n`` by square-and-multiply, starting from ``one``."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("only nonnegative integer powers")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 class GaussianRational:
     """a + b*i with a, b rational, stored as (a + b*i)/d over ints."""
 
@@ -88,10 +101,6 @@ class GaussianRational:
         return Fraction(self._b, self._d)
 
     # -- constructors -------------------------------------------------
-    @classmethod
-    def i(cls) -> "GaussianRational":
-        return cls(0, 1)
-
     @classmethod
     def coerce(cls, x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
@@ -174,16 +183,7 @@ class GaussianRational:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, GaussianRational(1))
 
     def conj(self) -> "GaussianRational":
         return _reduced(self._a, -self._b, self._d)
@@ -374,16 +374,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, self.ring.one())
 
     def conj(self) -> "Poly":
         # conjugation permutes the variables, so monomials map one to one

@@ -30,7 +30,6 @@ labeled evidence, not proof.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -40,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
-from .forms import Form
+from .forms import Form, all_index_tuples
 from .liealg import LieAlgebra
 from .cpx import (
     Complexification,
@@ -292,10 +291,6 @@ def find_complex_structure(g: LieAlgebra, cfg: Optional[SearchConfig] = None) ->
 # metric search
 # ---------------------------------------------------------------------------
 
-def _slots(deg: int):
-    return list(itertools.combinations(range(1, 7), deg))
-
-
 def _vec(form: Form, slots) -> np.ndarray:
     """The exact coefficients of ``form`` on ``slots``, rounded to complex."""
     return np.array([complex(form.coeffs.get(t, GR_ZERO)) for t in slots], dtype=complex)
@@ -353,7 +348,7 @@ class _MetricResidual:
             raise ValueError(f"unknown condition: {condition!r}")
         frame = cx.frame
         basis = _metric_basis_forms()
-        d3, d4, d5 = _slots(3), _slots(4), _slots(5)
+        d3, d4, d5 = (all_index_tuples(6, k) for k in (3, 4, 5))
         mus = ([cx.to_alpha(m) for m in closed_one_forms(cx)]
                if condition in ("lck", "lcb", "lcskt") else [])
         beta = None  # potential columns; the residual is projected off their span
@@ -571,12 +566,7 @@ def _rules_out(row) -> set:
         if row.conclusion == "mu_forced_zero":
             return {"lcskt"}
         return {"skt", "lcskt"}
-    return {
-        "lck": {"lck"},
-        "strongly_gauduchon": {"strongly_gauduchon"},
-        "first_gauduchon": {"first_gauduchon"},
-        "tamed": {"tamed"},
-    }.get(row.condition, set())
+    return {row.condition}
 
 
 def _absence_covered(condition: str, ruled_out: set) -> bool:

@@ -25,12 +25,10 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hermlie import Complexification
 from hermlie.catalog import (
-    CONDITIONS,
     get_entry,
     list_entries,
     negative_controls,

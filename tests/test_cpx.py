@@ -6,7 +6,6 @@ import pytest
 from hermlie.cpx import (
     Complexification,
     apply_matrix,
-    coframe_from_J,
     conj_alpha,
     instantiate_family,
     is_integrable,
@@ -145,6 +144,16 @@ class TestFrameOperators:
     def test_conj_alpha(self):
         w = Form(6, 2, {(1, 5): GR_I})
         assert conj_alpha(w) == Form(6, 2, {(4, 2): -GR_I})
+        # every monomial of each degree, each with its own non-real
+        # coefficient; the oracle lets the Form constructor sort the swap
+        swap = {1: 4, 2: 5, 3: 6, 4: 1, 5: 2, 6: 3}
+        for degree in range(7):
+            w = Form(6, degree, {key: GaussianRational(n + 1, 2 * n - 3)
+                                 for n, key in enumerate(all_index_tuples(6, degree))})
+            expected = Form(6, degree, {tuple(swap[i] for i in key): c.conj()
+                                        for key, c in w.coeffs.items()})
+            assert conj_alpha(w) == expected
+            assert conj_alpha(conj_alpha(w)) == w
 
 
 class TestFamilies:

@@ -1,4 +1,5 @@
-"""Every top-level import of a package module is used in that module."""
+"""Every top-level import of a package module, a test or a script is used
+in that file."""
 import ast
 from pathlib import Path
 
@@ -6,7 +7,9 @@ import pytest
 
 import hermlie
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(Path(hermlie.__file__).parent.glob("*.py"))
+TESTS_AND_SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,7 +32,8 @@ def test_the_scan_sees_an_unused_import():
 
 
 # __init__.py imports only to re-export: its names are the package's interface
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"] + TESTS_AND_SCRIPTS,
+    ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []

@@ -16,7 +16,6 @@ from hermlie.scalars import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
-    Poly,
     PolyRing,
     conj_scalar,
     im_part,
