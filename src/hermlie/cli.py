@@ -372,19 +372,14 @@ def cmd_obstruction(args, manifest: RunManifest) -> int:
         raise _SchemaError(f"unknown condition {args.condition!r}; choose from "
                            f"{sorted(CHECKERS) + ['complex']}")
     rows = obstruction_table(algebra=args.algebra, condition=args.condition)
-    if not rows:
+    reports = [replay_obstruction_row(row) for row in rows]
+    ok = bool(rows) and all(rep["ok"] for rep in reports)
+    if args.json:
+        _emit_json({"rows": _jsonable(reports), "ok": ok}, manifest)
+    elif not rows:
         print(manifest.header())
         print(f"no registered obstruction rows for "
               f"({args.algebra}, {args.condition})")
-        return 1
-    reports = []
-    ok = True
-    for row in rows:
-        rep = replay_obstruction_row(row)
-        reports.append(rep)
-        ok = ok and rep["ok"]
-    if args.json:
-        _emit_json({"rows": _jsonable(reports), "ok": ok}, manifest)
     else:
         print(manifest.header())
         for row, rep in zip(rows, reports):

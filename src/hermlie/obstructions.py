@@ -24,15 +24,15 @@ complex structure equations (one row per family branch).  Their final step
 exhibits a value that cannot vanish on the positivity cone (l's > 0,
 l_j l_k > |w_i|^2), or shows that the twisting 1-form is forced to vanish.
 
-Residual conventions (xi denotes the coefficient of the *sorted* monomial):
-  - "twisted"  (rules out both SKT and LCSKT): d(H) - mu ^ H with H = d^c w
-  - "lck":     d(omega) - mu ^ omega, mu a generic closed real 1-form
-  - "strg":    del(omega^2) - dbar(beta), beta = a^{123} ^ (sum b_k a^{k'})
-  - "firstg":  the a^{11'22'33'} coefficient of del dbar omega ^ omega
-  - "tamed":   del(omega) - dbar(beta), beta a del-closed (2,0)-form
-  - "nijenhuis": the pair (N, J^2) of a fully generic J, read with
-    ``n(i, j, k)`` and ``j2(i, j)``.  Every branch ends in a sign
-    contradiction with J^2 = -Id, so no integrable complex structure exists.
+The condition picks the residual (xi: coefficient of the *sorted* monomial):
+  - lcskt: d(H) - mu ^ H with H = d^c omega (rules out SKT too unless mu is forced to 0)
+  - lck: d(omega) - mu ^ omega; in both, mu is a closed :class:`Twist` (unknowns, builder)
+  - strongly_gauduchon: del(omega^2) - dbar(beta), beta = a^{123} ^ (sum b_k a^{k'})
+  - first_gauduchon: the a^{11'22'33'} coefficient of del dbar omega ^ omega
+  - tamed: del(omega) - dbar(beta), beta a del-closed (2,0)-form
+  - complex: the pair (N, J^2) of a fully generic J on the catalog structure
+    equations of each algebra the row names, read with ``n(i, j, k)`` and
+    ``j2(i, j)``.  Every branch ends in a sign contradiction with J^2 = -Id.
 
 Rows with sign parameters (values in {-1, +1}) are replayed for every sign
 choice; rows whose family coefficients involve divisions by parameters are
@@ -46,10 +46,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional
 
+from .catalog import get_entry
 from .cpx import instantiate_family, nijenhuis, generic_j_ring
 from .forms import Form
-from .herm import HermitianMetric, fundamental_form, first_gauduchon_coefficient, torsion_H
-from .liealg import parse_structure_equations
+from .herm import (CHECKERS, HermitianMetric, fundamental_form, first_gauduchon_coefficient,
+                   torsion_H)
 from .scalars import (GR_I, GR_ZERO, GaussianRational, Poly, PolyRing, conj_scalar,
                       im_part, re_part)
 
@@ -168,36 +169,70 @@ class Branch:
     pivots: tuple = ()
 
 
+@dataclass(frozen=True)
+class Twist:
+    """A closed twisting 1-form: the real and complex unknowns it adds to the
+    metric ring, and its builder."""
+    real: tuple
+    cpx: tuple
+    build: Callable[[ReplayContext], Form]
+
+
 @dataclass
 class ObstructionRow:
     algebra: str
     condition: str          # lcskt | lck | strongly_gauduchon | first_gauduchon | tamed | complex
     family_id: str
     branch: str
-    residual: str           # twisted | lck | strg | firstg | tamed | nijenhuis
     conclusion: str         # residual_nonzero | mu_forced_zero | no_solution
     signs: tuple = ()       # names looped over {-1, +1}
     sym_real: tuple = ()    # symbolic real family parameters
     sym_cpx: tuple = ()     # symbolic complex family parameters
     samples: tuple = ()     # tuple of dicts of exact parameter values
-    mu_real: tuple = ()     # extra real variables of the twisting form
-    mu_cpx: tuple = ()      # extra complex variables of the twisting form
-    mu: Optional[Callable[[ReplayContext], Form]] = None
+    mu: Optional[Twist] = None  # the twisting form of an lcskt or lck row
     steps: tuple = ()       # Steps of one implicit branch, or Branches
     note: str = ""
 
-    def key(self):
-        return (self.algebra, self.condition, self.branch)
+
+def rules_out(row: ObstructionRow) -> set:
+    """Conditions whose nonexistence one replayed obstruction row certifies.
+
+    Registered rows cover every complex-structure family on their algebra
+    (the registry encodes complete case analyses), so replaying all rows for
+    an algebra certifies nonexistence across all of its complex structures.
+    A forced ``mu = 0`` in an LCK row reduces LCK to Kahler, which is ruled
+    out separately on every algebra carrying such a row.
+
+    Rows whose branch pins a structure parameter (e.g. ``q=1``) only treat a
+    slice of the family and certify nothing at the family level.
+    """
+    if "=" in row.branch:
+        return set()
+    if row.condition == "complex":
+        return set(CHECKERS)
+    if row.condition == "lcskt":
+        # A nonzero residual kills the twisted equation for every mu
+        # including mu = 0, so plain SKT falls with it; a forced mu = 0
+        # only removes the genuinely twisted case.
+        if row.conclusion == "mu_forced_zero":
+            return {"lcskt"}
+        return {"skt", "lcskt"}
+    return {row.condition}
 
 
 # ---------------------------------------------------------------------------
 # residual builders
 
 
+#: (real, complex) unknowns of beta in the strongly Gauduchon and tamed residuals
+_POTENTIAL = {"strongly_gauduchon": (("b1", "b2", "b3"), ()), "tamed": ((), ("b1", "b2"))}
+
+
 def _metric_ring(row: ObstructionRow) -> PolyRing:
-    real = ["l1", "l2", "l3"] + list(row.sym_real) + list(row.mu_real)
-    cpx = ["w1", "w2", "w3"] + list(row.sym_cpx) + list(row.mu_cpx)
-    return PolyRing(real_vars=real, complex_vars=cpx)
+    real, cpx = ((row.mu.real, row.mu.cpx) if row.mu
+                 else _POTENTIAL.get(row.condition, ((), ())))
+    return PolyRing(real_vars=["l1", "l2", "l3", *row.sym_real, *real],
+                    complex_vars=["w1", "w2", "w3", *row.sym_cpx, *cpx])
 
 
 def _omega(ring: PolyRing, shape: str) -> Form:
@@ -230,7 +265,12 @@ def _mu_z3(ctx: ReplayContext) -> Form:
     return _mu_form({3: z, 6: conj_scalar(z)})
 
 
-def _mu_re2_minus_re3(scale_name: str):
+_MU_RE1 = Twist(("y",), (), _mu_re1)
+_MU_RE1_Z3 = Twist(("y",), ("zeta",), _mu_re1_z3)
+_MU_Z3 = Twist((), ("zeta",), _mu_z3)
+
+
+def _mu_re2_minus_re3(scale_name: str) -> Twist:
     """i y (a^2 - a^{2'}) - i y Re(scale) (a^3 - a^{3'})."""
 
     def build(ctx: ReplayContext) -> Form:
@@ -239,54 +279,41 @@ def _mu_re2_minus_re3(scale_name: str):
         iy = I * y
         return _mu_form({2: iy, 5: -iy, 3: -(iy * r), 6: iy * r})
 
-    return build
+    return Twist(("y",), (), build)
 
 
 def _build_residual(row: ObstructionRow, ctx: ReplayContext, frame):
     ring = ctx.ring
     om = _omega(ring, "almost_abelian" if row.family_id.startswith("AA-") else "full")
-    if row.residual == "twisted":
-        H = torsion_H(frame, om)
-        res = frame.d(H)
-        if row.mu is not None:
-            mu = row.mu(ctx)
-            if any(frame.d(mu).coeffs.values()):
-                raise AssertionError("twisting form is not closed")
-            res = res - mu.wedge(H)
-        return res
-    if row.residual == "lck":
-        res = frame.d(om)
-        if row.mu is not None:
-            mu = row.mu(ctx)
-            if any(frame.d(mu).coeffs.values()):
-                raise AssertionError("twisting form is not closed")
-            res = res - mu.wedge(om)
-        return res
-    if row.residual == "strg":
+    if row.condition in ("lcskt", "lck"):
+        base = torsion_H(frame, om) if row.condition == "lcskt" else om
+        mu = row.mu.build(ctx)
+        if any(frame.d(mu).coeffs.values()):
+            raise AssertionError("twisting form is not closed")
+        return frame.d(base) - mu.wedge(base)
+    if row.condition == "strongly_gauduchon":
         beta = Form(6, 3, {(1, 2, 3): ring.one()}).wedge(
             _mu_form({4: ring.var("b1"), 5: ring.var("b2"), 6: ring.var("b3")}))
         return frame.del_(om.wedge(om)) - frame.dbar(beta)
-    if row.residual == "tamed":
+    if row.condition == "tamed":
         beta = Form(6, 2, {(1, 2): ring.var("b1"), (1, 3): ring.var("b2")})
         if any(frame.del_(beta).coeffs.values()):
             raise AssertionError("taming candidate is not del-closed")
         return frame.del_(om) - frame.dbar(beta)
-    if row.residual == "firstg":
+    if row.condition == "first_gauduchon":
         return first_gauduchon_coefficient(frame, om)
-    raise ValueError(f"unknown residual kind {row.residual!r}")
+    raise ValueError(f"no residual for condition {row.condition!r}")
 
 
 def _contexts(row: ObstructionRow):
     """One context per sign choice and sample of the row, residual built."""
-    if row.residual == "nijenhuis":
-        for sample in row.samples:
+    if row.condition == "complex":
+        for name, sample in zip(row.algebra.split("|"), row.samples, strict=True):
             ring, J = generic_j_ring(6)
-            g = parse_structure_equations(sample["_eqs"], name=row.algebra)
             J2 = [[sum((J[i][t] * J[t][j] for t in range(6)), ring.zero())
                    for j in range(6)] for i in range(6)]
-            ctx = ReplayContext(ring, {k: GaussianRational.coerce(v)
-                                       for k, v in sample.items() if not k.startswith("_")})
-            ctx.residual = (nijenhuis(g, J), J2)
+            ctx = ReplayContext(ring, {k: GaussianRational.coerce(v) for k, v in sample.items()})
+            ctx.residual = (nijenhuis(get_entry(name).algebra_instance(), J), J2)
             yield ctx
         return
     for signs in product((1, -1), repeat=len(row.signs)):
@@ -337,6 +364,31 @@ def replay_obstruction_row(row: ObstructionRow) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# exact parameter samples shared by the rows of one family; a row may slice them
+
+_145_SAMPLES = ({"c": 1}, {"c": GaussianRational(F(3, 5), F(4, 5))})
+_152B_SAMPLES = (
+    {"z1": GaussianRational(F(1), F(1)), "z2": GaussianRational(F(1, 2), F(2)), "delta": 1},
+    {"z1": GaussianRational(F(-1, 3), F(2)), "z2": GaussianRational(F(0), F(1)), "delta": -1},
+    {"z1": GaussianRational(F(2), F(0)), "z2": GaussianRational(F(3), F(-1)), "delta": 1},
+)
+_154_SAMPLES = (
+    {"z": GaussianRational(F(1), F(1)), "x": F(2), "y": F(1)},
+    {"z": GaussianRational(F(0), F(-1)), "x": F(1, 2), "y": F(-3)},
+    {"z": GaussianRational(F(3, 2), F(1)), "x": F(-1), "y": F(2)},
+)
+
+
+def _152b_terms(c):
+    """k = |z1|^2 - delta Re(z2) Im(z2), Im(z2) and k^2 + Im(z2)^2 (1 + Im(z2)^2)
+    at an N52-152-b sample."""
+    z1, z2 = c.p("z1"), c.p("z2")
+    imz2 = GaussianRational(z2.im)
+    k = z1 * z1.conj() - c.p("delta") * GaussianRational(z2.re) * imz2
+    return k, imz2, k ** 2 + imz2 ** 2 * (1 + imz2 ** 2)
+
+
+# ---------------------------------------------------------------------------
 # row definitions: twisted SKT (rules out SKT and LCSKT together)
 
 
@@ -344,8 +396,8 @@ def _rows_twisted() -> list:
     rows = []
 
     rows.append(ObstructionRow(
-        "s6.44", "lcskt", "HT-s6.44", "", "twisted", "residual_nonzero",
-        signs=("eps",), mu_real=("y",), mu=_mu_re1,
+        "s6.44", "lcskt", "HT-s6.44", "", "residual_nonzero",
+        signs=("eps",), mu=_MU_RE1,
         steps=(
             Step("xi_12_1'3'", lambda c: c.xi(1, 2, 4, 6),
                  lambda c: -2 * c.v("y") * c.v("l2"),
@@ -355,10 +407,10 @@ def _rows_twisted() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.145^0", "lcskt", "N51-145", "", "twisted", "residual_nonzero",
+        "s6.145^0", "lcskt", "N51-145", "", "residual_nonzero",
         sym_cpx=("nu",),
-        samples=({"c": 1}, {"c": GaussianRational(F(3, 5), F(4, 5))}),
-        mu_cpx=("zeta",), mu=_mu_z3,
+        samples=_145_SAMPLES,
+        mu=_MU_Z3,
         note="the zeta-dependence cancels in the combination "
              "l1 xi_23_2'3' + 2 Im(conj(w3) xi_13_2'3')",
         steps=(
@@ -369,8 +421,8 @@ def _rows_twisted() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.147^0", "lcskt", "N51-147-a", "J1", "twisted", "residual_nonzero",
-        sym_cpx=("z", "nu"), mu_cpx=("zeta",), mu=_mu_z3,
+        "s6.147^0", "lcskt", "N51-147-a", "J1", "residual_nonzero",
+        sym_cpx=("z", "nu"), mu=_MU_Z3,
         steps=(
             Step("l1 xi_23_2'3' + 2 Im(conj(w3) xi_13_2'3')",
                  lambda c: c.v("l1") * c.xi(2, 3, 5, 6)
@@ -379,8 +431,8 @@ def _rows_twisted() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.147^0", "lcskt", "N51-147-b", "J2", "twisted", "residual_nonzero",
-        sym_cpx=("z",), mu_cpx=("zeta",), mu=_mu_z3,
+        "s6.147^0", "lcskt", "N51-147-b", "J2", "residual_nonzero",
+        sym_cpx=("z",), mu=_MU_Z3,
         steps=(
             Step("xi_123_3'", lambda c: c.xi(1, 2, 3, 6),
                  lambda c: c.v("l1") * c.v("zeta"),
@@ -394,8 +446,8 @@ def _rows_twisted() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.147^0", "lcskt", "N51-147-c", "J3", "twisted", "residual_nonzero",
-        sym_real=("x",), mu_cpx=("zeta",), mu=_mu_z3,
+        "s6.147^0", "lcskt", "N51-147-c", "J3", "residual_nonzero",
+        sym_real=("x",), mu=_MU_Z3,
         steps=(
             Step("xi_123_3'", lambda c: c.xi(1, 2, 3, 6),
                  lambda c: c.v("l1") * c.v("zeta"),
@@ -406,9 +458,9 @@ def _rows_twisted() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.152", "lcskt", "N52-152-a", "J1", "twisted", "residual_nonzero",
+        "s6.152", "lcskt", "N52-152-a", "J1", "residual_nonzero",
         signs=("delta",), sym_cpx=("z1", "z2"),
-        mu_real=("y",), mu=_mu_re2_minus_re3("z2"),
+        mu=_mu_re2_minus_re3("z2"),
         steps=(
             Step("xi_123_2'", lambda c: c.xi(1, 2, 3, 5),
                  lambda c: -(c.p("delta") * c.v("l1") * c.v("y")),
@@ -424,36 +476,18 @@ def _rows_twisted() -> list:
                  lambda c: 2 * c.v("l1")),
         )))
 
-    def _152b_samples():
-        out = []
-        for z1, z2, delta in (
-            (GaussianRational(F(1), F(1)), GaussianRational(F(1, 2), F(2)), 1),
-            (GaussianRational(F(-1, 3), F(2)), GaussianRational(F(0), F(1)), -1),
-            (GaussianRational(F(2), F(0)), GaussianRational(F(3), F(-1)), 1),
-        ):
-            out.append({"z1": z1, "z2": z2, "delta": delta})
-        return tuple(out)
-
     def _152b_y_coeff(c):
-        z1 = GaussianRational.coerce(c.p("z1"))
-        z2 = GaussianRational.coerce(c.p("z2"))
-        d = GaussianRational.coerce(c.p("delta"))
-        rez2, imz2 = GaussianRational(z2.re), GaussianRational(z2.im)
-        factor = (z1 * z1.conj() - d * rez2 * imz2) * (imz2 ** 2).inverse()
-        return factor * c.v("l1") * c.v("y")
+        k, imz2, _ = _152b_terms(c)
+        return k * (imz2 ** 2).inverse() * c.v("l1") * c.v("y")
 
     def _152b_final(c):
-        z1, z2, d = c.p("z1"), c.p("z2"), c.p("delta")
-        rez2 = GaussianRational(z2.re)
-        imz2 = GaussianRational(z2.im)
-        nz1 = z1 * z1.conj()
-        num = (d * rez2 * imz2 - nz1) ** 2 + imz2 ** 2 * (1 + imz2 ** 2)
+        _, imz2, num = _152b_terms(c)
         return c.v("l1") * (num * (imz2 ** 4).inverse())
 
     rows.append(ObstructionRow(
-        "s6.152", "lcskt", "N52-152-b", "J2", "twisted", "residual_nonzero",
-        samples=_152b_samples(),
-        mu_real=("y",), mu=_mu_re2_minus_re3("z1"),
+        "s6.152", "lcskt", "N52-152-b", "J2", "residual_nonzero",
+        samples=_152B_SAMPLES,
+        mu=_mu_re2_minus_re3("z1"),
         note="the y-coefficient is l1 (|z1|^2 - delta Re(z2) Im(z2)) "
              "/ Im(z2)^2; the samples keep that factor nonzero",
         steps=(
@@ -464,8 +498,8 @@ def _rows_twisted() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.159", "lcskt", "HT-s6.159", "", "twisted", "residual_nonzero",
-        signs=("delta", "eps"), mu_real=("y",), mu_cpx=("zeta",), mu=_mu_re1_z3,
+        "s6.159", "lcskt", "HT-s6.159", "", "residual_nonzero",
+        signs=("delta", "eps"), mu=_MU_RE1_Z3,
         steps=(
             Step("xi_12_1'2'", lambda c: c.xi(1, 2, 4, 5),
                  lambda c: 2 * c.p("delta") * c.v("l1") * c.v("y"),
@@ -478,40 +512,40 @@ def _rows_twisted() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.162^1", "lcskt", "HT-s6.162^1", "", "twisted", "residual_nonzero",
-        mu_real=("y",), mu=_mu_re1,
+        "s6.162^1", "lcskt", "HT-s6.162^1", "", "residual_nonzero",
+        mu=_MU_RE1,
         steps=(
             Step("xi_23_2'3'", lambda c: c.xi(2, 3, 5, 6),
                  lambda c: 4 * c.v("l1")),
         )))
 
     rows.append(ObstructionRow(
-        "s6.165^p", "lcskt", "HT-s6.165", "", "twisted", "residual_nonzero",
-        sym_real=("p",), mu_real=("y",), mu=_mu_re1,
+        "s6.165^p", "lcskt", "HT-s6.165", "", "residual_nonzero",
+        sym_real=("p",), mu=_MU_RE1,
         steps=(
             Step("xi_23_2'3'", lambda c: c.xi(2, 3, 5, 6),
                  lambda c: 4 * c.v("l1")),
         )))
 
     rows.append(ObstructionRow(
-        "s6.166^p", "lcskt", "HT-s6.166", "", "twisted", "residual_nonzero",
-        signs=("delta", "eps"), sym_real=("p",), mu_real=("y",), mu=_mu_re1,
+        "s6.166^p", "lcskt", "HT-s6.166", "", "residual_nonzero",
+        signs=("delta", "eps"), sym_real=("p",), mu=_MU_RE1,
         steps=(
             Step("xi_23_2'3'", lambda c: c.xi(2, 3, 5, 6),
                  lambda c: -4 * c.p("eps") * c.v("l1")),
         )))
 
     rows.append(ObstructionRow(
-        "s6.167", "lcskt", "HT-s6.167", "", "twisted", "residual_nonzero",
-        signs=("eps",), sym_real=("x",), mu_real=("y",), mu=_mu_re1,
+        "s6.167", "lcskt", "HT-s6.167", "", "residual_nonzero",
+        signs=("eps",), sym_real=("x",), mu=_MU_RE1,
         steps=(
             Step("xi_23_2'3'", lambda c: c.xi(2, 3, 5, 6),
                  lambda c: 4 * c.v("l1")),
         )))
 
     rows.append(ObstructionRow(
-        "s4.7+R2", "lcskt", "HT-s4.7+R2", "", "twisted", "mu_forced_zero",
-        signs=("eps",), mu_real=("y",), mu_cpx=("zeta",), mu=_mu_re1_z3,
+        "s4.7+R2", "lcskt", "HT-s4.7+R2", "", "mu_forced_zero",
+        signs=("eps",), mu=_MU_RE1_Z3,
         steps=(
             Step("xi_12_1'2'", lambda c: c.xi(1, 2, 4, 5),
                  lambda c: 2 * c.p("eps") * c.v("y") * c.v("l1"),
@@ -522,8 +556,8 @@ def _rows_twisted() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.52^0,q", "lcskt", "HT-s6.52", "", "twisted", "mu_forced_zero",
-        signs=("delta", "eps"), sym_real=("q",), mu_real=("y",), mu=_mu_re1,
+        "s6.52^0,q", "lcskt", "HT-s6.52", "", "mu_forced_zero",
+        signs=("delta", "eps"), sym_real=("q",), mu=_MU_RE1,
         steps=(
             Step("xi_12_1'2'", lambda c: c.xi(1, 2, 4, 5),
                  lambda c: 2 * c.p("delta") * c.v("y") * c.v("l1"),
@@ -541,8 +575,8 @@ def _rows_lck() -> list:
     rows = []
 
     rows.append(ObstructionRow(
-        "h3+s3.3^0", "lck", "HT-h3+s3.3^0", "", "lck", "residual_nonzero",
-        signs=("eps",), mu_real=("y",), mu_cpx=("zeta",), mu=_mu_re1_z3,
+        "h3+s3.3^0", "lck", "HT-h3+s3.3^0", "", "residual_nonzero",
+        signs=("eps",), mu=_MU_RE1_Z3,
         note="rules out Kahler as well (mu = 0 is covered by the same steps)",
         steps=(
             Step("xi_12_2'", lambda c: c.xi(1, 2, 5),
@@ -563,9 +597,9 @@ def _rows_lck() -> list:
         return tuple(vals)
 
     rows.append(ObstructionRow(
-        "s4.7+R2", "lck", "HT-s4.7+R2", "", "lck", "residual_nonzero",
+        "s4.7+R2", "lck", "HT-s4.7+R2", "", "residual_nonzero",
         signs=("eps",), samples=_47_samples(),
-        mu_real=("y",), mu_cpx=("zeta",), mu=_mu_re1_z3,
+        mu=_MU_RE1_Z3,
         note="metric entries sampled exactly: the forced y, zeta involve 1/l2",
         steps=(
             Step("xi_12_2'", lambda c: c.xi(1, 2, 5),
@@ -576,8 +610,8 @@ def _rows_lck() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.44", "lck", "HT-s6.44", "", "lck", "mu_forced_zero",
-        signs=("eps",), mu_real=("y",), mu=_mu_re1,
+        "s6.44", "lck", "HT-s6.44", "", "mu_forced_zero",
+        signs=("eps",), mu=_MU_RE1,
         note="mu = 0 would make the metric Kahler, impossible (not even LCSKT)",
         steps=(
             Step("xi_12_2'", lambda c: c.xi(1, 2, 5),
@@ -586,8 +620,8 @@ def _rows_lck() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.52^0,q", "lck", "HT-s6.52", "", "lck", "mu_forced_zero",
-        signs=("delta", "eps"), sym_real=("q",), mu_real=("y",), mu=_mu_re1,
+        "s6.52^0,q", "lck", "HT-s6.52", "", "mu_forced_zero",
+        signs=("delta", "eps"), sym_real=("q",), mu=_MU_RE1,
         steps=(
             Step("xi_13_3'", lambda c: c.xi(1, 3, 6),
                  lambda c: c.v("y") * c.v("l3"),
@@ -595,10 +629,10 @@ def _rows_lck() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.145^0", "lck", "N51-145", "", "lck", "mu_forced_zero",
+        "s6.145^0", "lck", "N51-145", "", "mu_forced_zero",
         sym_cpx=("nu",),
-        samples=({"c": 1}, {"c": GaussianRational(F(3, 5), F(4, 5))}),
-        mu_cpx=("zeta",), mu=_mu_z3,
+        samples=_145_SAMPLES,
+        mu=_MU_Z3,
         steps=(
             Step("xi_13_1'", lambda c: c.xi(1, 3, 4),
                  lambda c: I * c.v("zeta") * c.v("l1"),
@@ -606,8 +640,8 @@ def _rows_lck() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.147^0", "lck", "N51-147-a", "J1", "lck", "mu_forced_zero",
-        sym_cpx=("z", "nu"), mu_cpx=("zeta",), mu=_mu_z3,
+        "s6.147^0", "lck", "N51-147-a", "J1", "mu_forced_zero",
+        sym_cpx=("z", "nu"), mu=_MU_Z3,
         steps=(
             Step("xi_13_1'", lambda c: c.xi(1, 3, 4),
                  lambda c: I * c.v("zeta") * c.v("l1"),
@@ -615,25 +649,25 @@ def _rows_lck() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.147^0", "lck", "N51-147-b", "J2", "lck", "residual_nonzero",
-        sym_cpx=("z",), mu_cpx=("zeta",), mu=_mu_z3,
+        "s6.147^0", "lck", "N51-147-b", "J2", "residual_nonzero",
+        sym_cpx=("z",), mu=_MU_Z3,
         steps=(
             Step("xi_12_3'", lambda c: c.xi(1, 2, 6),
                  lambda c: -(I * c.v("l1"))),
         )))
 
     rows.append(ObstructionRow(
-        "s6.147^0", "lck", "N51-147-c", "J3", "lck", "residual_nonzero",
-        sym_real=("x",), mu_cpx=("zeta",), mu=_mu_z3,
+        "s6.147^0", "lck", "N51-147-c", "J3", "residual_nonzero",
+        sym_real=("x",), mu=_MU_Z3,
         steps=(
             Step("xi_12_3'", lambda c: c.xi(1, 2, 6),
                  lambda c: -(I * c.v("l1"))),
         )))
 
     rows.append(ObstructionRow(
-        "s6.152", "lck", "N52-152-a", "J1", "lck", "mu_forced_zero",
+        "s6.152", "lck", "N52-152-a", "J1", "mu_forced_zero",
         signs=("delta",), sym_cpx=("z1", "z2"),
-        mu_real=("y",), mu=_mu_re2_minus_re3("z2"),
+        mu=_mu_re2_minus_re3("z2"),
         steps=(
             Step("xi_12_1'", lambda c: c.xi(1, 2, 4),
                  lambda c: -(c.v("y") * c.v("l1")),
@@ -641,12 +675,9 @@ def _rows_lck() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.152", "lck", "N52-152-b", "J2", "lck", "mu_forced_zero",
-        samples=(
-            {"z1": GaussianRational(F(1), F(1)), "z2": GaussianRational(F(1, 2), F(2)), "delta": 1},
-            {"z1": GaussianRational(F(-1, 3), F(2)), "z2": GaussianRational(F(0), F(1)), "delta": -1},
-        ),
-        mu_real=("y",), mu=_mu_re2_minus_re3("z1"),
+        "s6.152", "lck", "N52-152-b", "J2", "mu_forced_zero",
+        samples=_152B_SAMPLES[:2],
+        mu=_mu_re2_minus_re3("z1"),
         steps=(
             Step("xi_12_1'", lambda c: c.xi(1, 2, 4),
                  lambda c: -(c.v("y") * c.v("l1")),
@@ -654,12 +685,9 @@ def _rows_lck() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.154^0", "lck", "N52-154", "", "lck", "mu_forced_zero",
-        samples=(
-            {"z": GaussianRational(F(1), F(1)), "x": F(2), "y": F(1)},
-            {"z": GaussianRational(F(0), F(-1)), "x": F(1, 2), "y": F(-3)},
-        ),
-        mu_real=("y",), mu=_mu_re2_minus_re3("z"),
+        "s6.154^0", "lck", "N52-154", "", "mu_forced_zero",
+        samples=_154_SAMPLES[:2],
+        mu=_mu_re2_minus_re3("z"),
         steps=(
             Step("xi_12_1'", lambda c: c.xi(1, 2, 4),
                  lambda c: -(c.v("y") * c.v("l1")),
@@ -667,8 +695,8 @@ def _rows_lck() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.162^1", "lck", "HT-s6.162^1", "", "lck", "residual_nonzero",
-        mu_real=("y",), mu=_mu_re1,
+        "s6.162^1", "lck", "HT-s6.162^1", "", "residual_nonzero",
+        mu=_MU_RE1,
         steps=(
             Step("xi_12_2'", lambda c: c.xi(1, 2, 5),
                  lambda c: (c.v("y") - 2) * c.v("l2"),
@@ -678,8 +706,8 @@ def _rows_lck() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.165^p", "lck", "HT-s6.165", "", "lck", "residual_nonzero",
-        sym_real=("p",), mu_real=("y",), mu=_mu_re1,
+        "s6.165^p", "lck", "HT-s6.165", "", "residual_nonzero",
+        sym_real=("p",), mu=_MU_RE1,
         steps=(
             Step("xi_12_2'", lambda c: c.xi(1, 2, 5),
                  lambda c: (c.v("y") - 2 * c.p("p")) * c.v("l2"),
@@ -689,8 +717,8 @@ def _rows_lck() -> list:
         )))
 
     rows.append(ObstructionRow(
-        "s6.167", "lck", "HT-s6.167", "", "lck", "mu_forced_zero",
-        signs=("eps",), sym_real=("x",), mu_real=("y",), mu=_mu_re1,
+        "s6.167", "lck", "HT-s6.167", "", "mu_forced_zero",
+        signs=("eps",), sym_real=("x",), mu=_MU_RE1,
         steps=(
             Step("xi_12_2'", lambda c: c.xi(1, 2, 5),
                  lambda c: c.v("y") * c.v("l2"),
@@ -701,18 +729,13 @@ def _rows_lck() -> list:
 
 
 def _47_force(c: ReplayContext):
-    """y = -eps l1 / l2 and zeta = eps w2~ / l2 at the sampled metric."""
-    l2 = c.p("l2s")
+    """Bind the sampled metric, then y = -eps l1 / l2 and zeta = eps w2~ / l2."""
+    for var in ("l1", "l2", "l3", "w2"):
+        c.set(var, GaussianRational.coerce(c.p(var + "s")))
     eps = GaussianRational.coerce(c.p("eps"))
-    inv = GaussianRational.coerce(l2).inverse()
-    _bind_metric_sample(c)
+    inv = GaussianRational.coerce(c.p("l2s")).inverse()
     c.set("y", -(eps * GaussianRational.coerce(c.p("l1s")) * inv))
     c.set("zeta", eps * inv * conj_scalar(GaussianRational.coerce(c.p("w2s"))))
-
-
-def _bind_metric_sample(c: ReplayContext):
-    for var, key in (("l1", "l1s"), ("l2", "l2s"), ("l3", "l3s"), ("w2", "w2s")):
-        c.set(var, GaussianRational.coerce(c.p(key)))
 
 
 def _47_substituted_final(c: ReplayContext):
@@ -735,10 +758,8 @@ def _rows_strg() -> list:
 
     def simple(algebra, family, branch, signs, sym_real, sym_cpx, samples, combo, expected):
         return ObstructionRow(
-            algebra, "strongly_gauduchon", family, branch, "strg",
-            "residual_nonzero", signs=signs, sym_real=sym_real,
-            sym_cpx=sym_cpx, samples=samples,
-            mu_real=("b1", "b2", "b3"),
+            algebra, "strongly_gauduchon", family, branch, "residual_nonzero",
+            signs=signs, sym_real=sym_real, sym_cpx=sym_cpx, samples=samples,
             steps=(Step("xi_123 combo", combo, expected),))
 
     rows.append(simple(
@@ -773,8 +794,7 @@ def _rows_strg() -> list:
 
     rows.append(simple(
         "s6.152", "N52-152-b", "J2", (), (), (),
-        ({"z1": GaussianRational(F(1), F(1)), "z2": GaussianRational(F(1, 2), F(2)), "delta": 1},
-         {"z1": GaussianRational(F(-1, 3), F(2)), "z2": GaussianRational(F(0), F(1)), "delta": -1}),
+        _152B_SAMPLES[:2],
         lambda c: c.re(GaussianRational.coerce(c.p("z1"))) * c.xi(1, 2, 3, 4, 5)
         + c.xi(1, 2, 3, 4, 6),
         _152b_expected))
@@ -785,8 +805,7 @@ def _rows_strg() -> list:
 
     rows.append(simple(
         "s6.154^0", "N52-154", "", (), (), (),
-        ({"z": GaussianRational(F(1), F(1)), "x": F(2), "y": F(1)},
-         {"z": GaussianRational(F(0), F(-1)), "x": F(1, 2), "y": F(-3)}),
+        _154_SAMPLES[:2],
         lambda c: c.re(GaussianRational.coerce(c.p("z"))) * c.xi(1, 2, 3, 4, 5)
         + c.xi(1, 2, 3, 4, 6),
         _154_expected))
@@ -804,16 +823,15 @@ def _rows_firstg() -> list:
     def fg(algebra, family, branch, expected, signs=(), sym_real=(), sym_cpx=(),
            samples=(), note=""):
         return ObstructionRow(
-            algebra, "first_gauduchon", family, branch, "firstg",
-            "residual_nonzero", signs=signs, sym_real=sym_real,
-            sym_cpx=sym_cpx, samples=samples, note=note,
+            algebra, "first_gauduchon", family, branch, "residual_nonzero",
+            signs=signs, sym_real=sym_real, sym_cpx=sym_cpx, samples=samples, note=note,
             steps=(Step("del dbar omega ^ omega", lambda c: c.value(), expected),))
 
     rows.append(fg(
         "s6.145^0", "N51-145", "",
         lambda c: -2 * c.v("l1") ** 2,
         sym_cpx=("nu",),
-        samples=({"c": 1}, {"c": GaussianRational(F(3, 5), F(4, 5))})))
+        samples=_145_SAMPLES))
 
     rows.append(fg(
         "s6.147^0", "N51-147-a", "J1",
@@ -845,21 +863,12 @@ def _rows_firstg() -> list:
         signs=("delta",), sym_cpx=("z1", "z2")))
 
     def _152b_fg(c):
-        z1 = GaussianRational.coerce(c.p("z1"))
-        z2 = GaussianRational.coerce(c.p("z2"))
-        d = GaussianRational.coerce(c.p("delta"))
-        rez2, imz2 = GaussianRational(z2.re), GaussianRational(z2.im)
-        nz1 = z1 * z1.conj()
-        num = (d * rez2 * imz2 - nz1) ** 2 + imz2 ** 2 * (1 + imz2 ** 2)
+        _, imz2, num = _152b_terms(c)
         return -(c.v("l1") ** 2) * (num * (2 * imz2 ** 4).inverse())
 
     rows.append(fg(
         "s6.152", "N52-152-b", "J2", _152b_fg,
-        samples=(
-            {"z1": GaussianRational(F(1), F(1)), "z2": GaussianRational(F(1, 2), F(2)), "delta": 1},
-            {"z1": GaussianRational(F(-1, 3), F(2)), "z2": GaussianRational(F(0), F(1)), "delta": -1},
-            {"z1": GaussianRational(F(2), F(0)), "z2": GaussianRational(F(3), F(-1)), "delta": 1},
-        )))
+        samples=_152B_SAMPLES))
 
     def _154_fg(c):
         z = GaussianRational.coerce(c.p("z"))
@@ -871,11 +880,7 @@ def _rows_firstg() -> list:
 
     rows.append(fg(
         "s6.154^0", "N52-154", "", _154_fg,
-        samples=(
-            {"z": GaussianRational(F(1), F(1)), "x": F(2), "y": F(1)},
-            {"z": GaussianRational(F(0), F(-1)), "x": F(1, 2), "y": F(-3)},
-            {"z": GaussianRational(F(3, 2), F(1)), "x": F(-1), "y": F(2)},
-        )))
+        samples=_154_SAMPLES))
 
     rows.append(fg(
         "s6.17^1,q,q,-2(1+q)", "AA-s6.17", "q=1",
@@ -895,8 +900,8 @@ def _rows_firstg() -> list:
 
 def _rows_tamed() -> list:
     return [ObstructionRow(
-        "h3+s3.3^0", "tamed", "HT-h3+s3.3^0", "", "tamed", "residual_nonzero",
-        signs=("eps",), mu_cpx=("b1", "b2"),
+        "h3+s3.3^0", "tamed", "HT-h3+s3.3^0", "", "residual_nonzero",
+        signs=("eps",),
         note="residual evaluated on (Z1, Z3, Z3'); independent of the "
              "del-closed (2,0) potential",
         steps=(
@@ -925,9 +930,9 @@ def _installs(sets: tuple):
 def _rows_nijenhuis() -> list:
     """Staged generic-J eliminations proving that the four algebras kept as
     negative controls in the catalog admit no complex structure.  Each row
-    merges two algebras via a coefficient eps in {0, 1}; the structure
-    equations (with eps resolved) travel in the samples under the key
-    ``_eqs``.  Every branch ends in a sign contradiction with J^2 = -Id,
+    merges two algebras via a coefficient eps in {0, 1}: its i-th sample
+    holds the eps of the i-th algebra it names, whose structure equations
+    are read from the catalog.  Every branch ends in a sign contradiction with J^2 = -Id,
     recorded in the step labels; division-bearing branches are replayed at
     exact rational pivot values.  ``N`` checks the f_k-component of
     N(f_i, f_j) and ``Q`` an entry of J^2; the trailing (name, value) pairs
@@ -1079,12 +1084,8 @@ def _rows_nijenhuis() -> list:
     )
 
     rows.append(ObstructionRow(
-        "s6.140^-1|s6.146^-1", "complex", "", "merged", "nijenhuis",
-        "no_solution",
-        samples=(
-            {"_eqs": "(f35+f16, f45-f26, f36, -f46, 0, 0)", "eps": 0},
-            {"_eqs": "(f35+f16+f36, f45-f26-f46, f36, -f46, 0, 0)", "eps": 1},
-        ),
+        "s6.140^-1|s6.146^-1", "complex", "", "merged", "no_solution",
+        samples=({"eps": 0}, {"eps": 1}),
         steps=f1))
 
     # ---- merged family with nilradical n5.2 -------------------------------
@@ -1192,12 +1193,8 @@ def _rows_nijenhuis() -> list:
     )
 
     rows.append(ObstructionRow(
-        "s6.151|s6.155^1", "complex", "", "merged", "nijenhuis",
-        "no_solution",
-        samples=(
-            {"_eqs": "(f35+f16, f34-f26-f46, f45, -f46, f56, 0)", "eps": 1},
-            {"_eqs": "(f35+f16, f34-f26, f45, -f46, f56, 0)", "eps": 0},
-        ),
+        "s6.151|s6.155^1", "complex", "", "merged", "no_solution",
+        samples=({"eps": 1}, {"eps": 0}),
         steps=f2))
 
     return rows
@@ -1212,7 +1209,8 @@ _ROWS: Optional[list] = None
 
 def obstruction_table(algebra: Optional[str] = None,
                       condition: Optional[str] = None) -> list:
-    """All registered obstruction rows, optionally filtered."""
+    """All registered obstruction rows, optionally filtered: ``condition``
+    keeps the rows of that condition and the rows that rule it out."""
     global _ROWS
     if _ROWS is None:
         _ROWS = (_rows_twisted() + _rows_lck() + _rows_strg()
@@ -1221,8 +1219,7 @@ def obstruction_table(algebra: Optional[str] = None,
     if algebra is not None:
         out = [r for r in out if algebra in r.algebra.split("|")]
     if condition is not None:
-        cond = {"skt": "lcskt"}.get(condition, condition)
-        out = [r for r in out if r.condition == cond]
+        out = [r for r in out if condition == r.condition or condition in rules_out(r)]
     return list(out)
 
 

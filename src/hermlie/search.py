@@ -543,32 +543,6 @@ _GRID_CONDITIONS = (
 )
 
 
-def _rules_out(row) -> set:
-    """Conditions whose nonexistence one replayed obstruction row certifies.
-
-    Registered rows cover every complex-structure family on their algebra
-    (the registry encodes complete case analyses), so replaying all rows for
-    an algebra certifies nonexistence across all of its complex structures.
-    A forced ``mu = 0`` in an LCK row reduces LCK to Kahler, which is ruled
-    out separately on every algebra carrying such a row.
-
-    Rows whose branch pins a structure parameter (e.g. ``q=1``) only treat a
-    slice of the family and certify nothing at the family level.
-    """
-    if "=" in row.branch:
-        return set()
-    if row.condition == "complex":
-        return set(_GRID_CONDITIONS) | {"tamed"}
-    if row.condition == "lcskt":
-        # A nonzero residual kills the twisted equation for every mu
-        # including mu = 0, so plain SKT falls with it; a forced mu = 0
-        # only removes the genuinely twisted case.
-        if row.conclusion == "mu_forced_zero":
-            return {"lcskt"}
-        return {"skt", "lcskt"}
-    return {row.condition}
-
-
 def _absence_covered(condition: str, ruled_out: set) -> bool:
     related = {condition} | set(_IMPLIES.get(condition, ()))
     return bool(related & ruled_out)
@@ -625,7 +599,7 @@ def classification_sweep(conditions: Optional[Sequence[str]] = None,
                          cfg: Optional[SearchConfig] = None) -> dict:
     """Existence grid over the catalog: witnesses, obstructions, evidence."""
     from .catalog import list_entries, negative_controls
-    from .obstructions import obstruction_table, replay_obstruction_row
+    from .obstructions import obstruction_table, replay_obstruction_row, rules_out
 
     conds = tuple(conditions) if conditions else _GRID_CONDITIONS
     cfg = cfg or SearchConfig(restarts=8, max_iters=40)
@@ -639,7 +613,7 @@ def classification_sweep(conditions: Optional[Sequence[str]] = None,
         for row in obstruction_table(algebra=entry.name):
             report = replay_obstruction_row(row)
             if report["ok"]:
-                ruled_out |= _rules_out(row)
+                ruled_out |= rules_out(row)
         cx = None
         cells = {}
         for cond in conds:

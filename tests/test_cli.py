@@ -204,6 +204,24 @@ class TestObstruction:
         code, out, _ = run(capsys, "obstruction", "s6.25", "balanced")
         assert code == 1
 
+    def test_no_rows_json(self, capsys):
+        code, out, _ = run(capsys, "--json", "obstruction", "s6.25", "balanced")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["rows"] == [] and payload["ok"] is False
+        assert payload["manifest"]["command"] == "obstruction"
+
+    @pytest.mark.parametrize("algebra,expected", [
+        # both claim SKT: their lcskt rows only force mu = 0
+        ("s4.7+R2", 1),
+        ("s6.52^0,q", 1),
+        ("s6.162^1", 0),
+    ])
+    def test_skt_lists_only_rows_that_rule_it_out(self, capsys, algebra, expected):
+        code, out, _ = run(capsys, "obstruction", algebra, "skt")
+        assert code == expected
+        assert ("replayed exactly" in out) == (expected == 0)
+
     @pytest.mark.parametrize("argv", [
         ("obstruction", "nope", "kahler"),
         ("obstruction", "s6.145^0", "frobnicated"),
@@ -390,14 +408,15 @@ class TestFuzzedArguments:
 
     @staticmethod
     def _exit_code(argv):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue(), argv
+        return code, out.getvalue()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_fuzzed(["algebra", "--condition", "--seed", "--restarts", "--max-iters",
@@ -408,7 +427,9 @@ class TestFuzzedArguments:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_fuzzed(["algebra", "--condition"]).map(_obstruction_argv))
     def test_obstruction(self, argv):
-        self._exit_code(argv)
+        code, out = self._exit_code(argv)
+        if "--json" in argv and code in (0, 1):
+            assert isinstance(json.loads(out)["ok"], bool), argv
 
 
 class TestReportTable:

@@ -10,10 +10,12 @@ import dataclasses
 
 import pytest
 
+from hermlie.forms import Form
 from hermlie.obstructions import (
     Branch,
     ObstructionRow,
     Step,
+    Twist,
     obstruction_table,
     replay_all,
     replay_obstruction_row,
@@ -32,10 +34,15 @@ class TestRegistryAPI:
         assert rows
         assert all("s6.140^-1" in r.algebra.split("|") for r in rows)
 
-    def test_skt_aliases_to_twisted_rows(self):
+    def test_skt_keeps_the_rows_that_rule_it_out(self):
+        # an lcskt row whose mu is only forced to 0 leaves SKT open; the
+        # generic-J rows of the controls rule out every condition
         skt = obstruction_table(condition="skt")
-        lcskt = obstruction_table(condition="lcskt")
-        assert skt and skt == lcskt
+        twisted = [r for r in obstruction_table()
+                   if r.condition == "lcskt" and r.conclusion == "residual_nonzero"]
+        assert twisted and [r for r in skt if r.condition != "complex"] == twisted
+        assert [r for r in skt if r.condition == "complex"] == obstruction_table(
+            condition="complex")
 
     def test_conclusions_vocabulary(self):
         allowed = {"residual_nonzero", "mu_forced_zero", "no_solution"}
@@ -76,6 +83,20 @@ class TestReplay:
         tampered = dataclasses.replace(row, steps=(bad_step,))
         with pytest.raises(AssertionError):
             replay_obstruction_row(tampered)
+
+    def test_twist_that_is_not_closed_is_rejected(self):
+        # y (a^1 + a^{1'}) in place of the closed i y (a^1 - a^{1'})
+        row = self.row("s6.162^1", "lcskt")
+        bad = Twist(("y",), (), lambda c: Form(6, 1, {(1,): c.v("y"), (4,): c.v("y")}))
+        with pytest.raises(AssertionError, match="twisting form is not closed"):
+            replay_obstruction_row(dataclasses.replace(row, mu=bad))
+
+    def test_taming_potential_that_is_not_del_closed_is_rejected(self):
+        # on the N51-147-a equations, b1 a^{12} + b2 a^{13} is not del-closed
+        row = self.row("h3+s3.3^0", "tamed")
+        moved = dataclasses.replace(row, family_id="N51-147-a", sym_cpx=("z", "nu"))
+        with pytest.raises(AssertionError, match="taming candidate is not del-closed"):
+            replay_obstruction_row(moved)
 
     def test_nijenhuis_rows_cover_all_controls(self):
         covered = set()
