@@ -17,8 +17,18 @@ at seed 0 and its default restarts and iterations, the ones in which
 * ``restarts/s``: the restarts of ``search.find_metric`` on its cells at the
   sweep's config, over their time, the median of 3 passes.
 
-The last line sums the cells, ``build ms`` as the total over them.  Run it
-at two commits on the same machine and compare the columns.
+The last line sums the cells, ``build ms`` as the total over them.
+
+A second table times the rational reconstruction of the complex-structure
+search.  It runs ``search.find_complex_structure`` at seed 0 and its default
+config on each of the 34 catalog algebras and, per status of the outcome,
+prints:
+
+* ``searches``: the number of searches that ended with that status;
+* ``ms/call``: the median over their seed-0 J witnesses of one
+  ``search._exactify_j`` call on the witness, each the best of 5 repeats.
+
+Run it at two commits on the same machine and compare the columns.
 """
 from __future__ import annotations
 
@@ -84,6 +94,25 @@ def restarts_per_s(cxs, cond: str, cfg) -> tuple:
     return restarts, statistics.median(rates)
 
 
+def reconstruction_table() -> None:
+    searches, ms = {}, {}  # per status: search count, ms per witness
+    for entry in catalog.list_entries():
+        g = entry.algebra_instance()
+        outcome = search.find_complex_structure(g, search.SearchConfig(seed=SEED))
+        searches[outcome.status] = searches.get(outcome.status, 0) + 1
+        times = ms.setdefault(outcome.status, [])
+        if outcome.witness is not None:
+            x = np.array(outcome.witness["J_float"]).reshape(-1)
+            times.append(min(timeit.repeat(lambda: search._exactify_j(g, x),
+                                           number=1, repeat=REPEATS)) * 1e3)
+    searches["all"] = sum(searches.values())
+    ms["all"] = [t for times in ms.values() for t in times]
+    print(f"{'reconstruction':20s} {'searches':>8s} {'ms/call':>8s}")
+    for status, times in ms.items():
+        median = f"{statistics.median(times):8.2f}" if times else f"{'-':>8s}"
+        print(f"{status:20s} {searches[status]:8d} {median}")
+
+
 def main() -> int:
     # the config classification_sweep uses when given none, at a fixed seed
     cfg = search.SearchConfig(seed=SEED, restarts=8, max_iters=40)
@@ -103,6 +132,8 @@ def main() -> int:
               f"{restarts:8d} {rate:10.1f}")
     print(f"{'all':20s} {sum(map(len, cells.values())):5d} {total_build:8.2f} {'':>8s} "
           f"{total_restarts:8d} {total_restarts / total_s:10.1f}")
+    print()
+    reconstruction_table()
     return 0
 
 

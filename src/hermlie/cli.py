@@ -388,6 +388,8 @@ def cmd_obstruction(args, manifest: RunManifest) -> int:
                   f"{'replayed exactly' if rep['ok'] else 'FAILED'} "
                   f"({rep['runs']} runs, "
                   f"{len(rep['steps'])} steps)")
+            if not rep["ok"]:
+                print(f"  {rep['detail']}")
         print(manifest.footer())
     return 0 if ok else 1
 

@@ -45,12 +45,16 @@ def apply_matrix(J: Sequence[Sequence], v: Sequence) -> list:
 
 
 def squares_to_minus_id(J: Sequence[Sequence]) -> bool:
+    """Whether ``J^2 = -Id`` exactly; computes ``J^2`` one entry at a time
+    and stops at the first that is not ``-delta_ij``."""
     n = len(J)
-    J2 = [apply_matrix(J, [J[i][j] for i in range(n)]) for j in range(n)]
-    for j in range(n):
-        for i in range(n):
-            expect = -GR_ONE if i == j else GR_ZERO
-            if GaussianRational.coerce(J2[j][i]) != expect:
+    for i, row in enumerate(J):
+        for j in range(n):
+            acc = GR_ZERO
+            for k in range(n):
+                if row[k] and J[k][j]:
+                    acc = acc + row[k] * J[k][j]
+            if GaussianRational.coerce(acc) != (-GR_ONE if i == j else GR_ZERO):
                 return False
     return True
 

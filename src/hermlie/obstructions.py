@@ -331,12 +331,24 @@ def _contexts(row: ObstructionRow):
 
 def replay_obstruction_row(row: ObstructionRow) -> dict:
     """Re-run every step of every branch of a row exactly, in each of its
-    contexts; raises AssertionError on the first mismatch, returns a report
-    otherwise.  ``runs`` counts contexts times branches."""
+    contexts, and report.  ``runs`` counts contexts times branches.
+
+    A step whose value differs from its expected value ends the replay: the
+    report has ``"ok": False`` and the mismatch under ``"detail"``.  A row
+    whose context cannot be built (a twisting form that is not closed, a
+    taming candidate that is not del-closed) raises ``AssertionError``."""
     branches = row.steps
     if not isinstance(branches[0], Branch):
         branches = (Branch(row.branch, row.steps),)
-    runs = 0
+    report = {
+        "algebra": row.algebra,
+        "condition": row.condition,
+        "branch": row.branch,
+        "conclusion": row.conclusion,
+        "runs": 0,
+        "steps": [s.label for s in row.steps],
+        "ok": True,
+    }
     for ctx in _contexts(row):
         for branch in branches:
             for pivot in branch.pivots or ({},):
@@ -345,22 +357,16 @@ def replay_obstruction_row(row: ObstructionRow) -> dict:
                     got = ctx.ring.coerce(step.value(ctx))
                     want = ctx._apply(step.expected(ctx))
                     if got != want:
-                        raise AssertionError(
+                        report["ok"] = False
+                        report["detail"] = (
                             f"{row.algebra}/{row.condition}/{row.branch} branch "
                             f"{branch.label!r} step {step.label!r} at {ctx.params} "
                             f"{ctx.pivot}: got {got}, expected {want}")
+                        return report
                     if step.after is not None:
                         step.after(ctx)
-            runs += 1
-    return {
-        "algebra": row.algebra,
-        "condition": row.condition,
-        "branch": row.branch,
-        "conclusion": row.conclusion,
-        "runs": runs,
-        "steps": [s.label for s in row.steps],
-        "ok": True,
-    }
+            report["runs"] += 1
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, _reduced
 from .forms import Form, all_index_tuples
 from .liealg import LieAlgebra
 from .cpx import (
@@ -234,19 +234,61 @@ def j_residual_kernel():
     return _j_residual
 
 
+#: Denominator bounds tried, in ascending order, by the rational
+#: reconstruction of a float J and of a float metric.
+J_BOUNDS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 1000, 10**6)
+METRIC_BOUNDS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 1000, 10**5)
+
+
+def _best_rationals(x: float, bounds) -> list:
+    """``(p, q)`` of ``Fraction(x).limit_denominator(b)`` for each ascending
+    bound ``b``, in lowest terms with ``q > 0``, from one continued-fraction
+    expansion of ``x``.
+
+    A best approximation with denominator at most ``b`` is the last convergent
+    ``p1/q1`` with ``q1 <= b`` or the semiconvergent ``(p0 + k p1)/(q0 + k q1)``
+    with the largest ``k`` the bound allows (Khinchin, *Continued Fractions*,
+    Thm. 15); ``x`` lies between the two, at distance ``d/(q1 den)`` from the
+    convergent, so the convergent wins ties, as in ``limit_denominator``.
+    """
+    num, den = x.as_integer_ratio()
+    n, d = num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    out = []
+    for b in bounds:
+        if den <= b:
+            out.append((num, den))
+            continue
+        while True:  # the convergents so far stay valid for every larger bound
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > b:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (b - q0) // q1
+        if 2 * d * (q0 + k * q1) <= den:
+            out.append((p1, q1))
+        else:
+            out.append((p0 + k * p1, q0 + k * q1))
+    return out
+
+
+def _candidates(values, bounds):
+    """The ``(p, q)`` of every value at each bound in turn, skipping a tuple
+    equal to the one before: its exact verdict is already known."""
+    previous = None
+    for candidate in zip(*(_best_rationals(v, bounds) for v in values)):
+        if candidate != previous:
+            previous = candidate
+            yield candidate
+
+
 def _exactify_j(g: LieAlgebra, x: np.ndarray):
     """Rational reconstruction of a float J plus exact integrability check."""
-    vals = x.reshape(6, 6)
-    previous = None
-    for bound in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 1000, 10**6):
-        Jq = [
-            [GaussianRational.coerce(Fraction(float(v)).limit_denominator(bound))
-             for v in row]
-            for row in vals
-        ]
-        if Jq == previous:
-            continue  # the exact verdict on this candidate is already known
-        previous = Jq
+    for candidate in _candidates(x.tolist(), J_BOUNDS):
+        entries = [_reduced(p, 0, q) for p, q in candidate]  # coprime, q > 0
+        Jq = [entries[6 * i:6 * i + 6] for i in range(6)]
         if not squares_to_minus_id(Jq):
             continue
         comps = nijenhuis(g, Jq)
@@ -472,13 +514,9 @@ def _metric_objective(residual: _MetricResidual, raw: np.ndarray):
 def _exactify_metric(cx: Complexification, condition: str, raw: np.ndarray):
     p = _p_from_raw(raw)[0]
     p = (p * (3.0 / (p[0] + p[1] + p[2]))).tolist()
-    previous = None
-    for bound in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 1000, 10**5):
-        q = [Fraction(x).limit_denominator(bound) for x in p]
+    for candidate in _candidates(p, METRIC_BOUNDS):
+        q = [Fraction(n, d) for n, d in candidate]
         lams, ws = q[:3], [GaussianRational(q[k], q[k + 1]) for k in (3, 5, 7)]
-        if (lams, ws) == previous:
-            continue  # the exact verdict on this candidate is already known
-        previous = (lams, ws)
         metric = HermitianMetric(lams, ws)
         if not is_positive(metric):
             continue
@@ -614,6 +652,9 @@ def classification_sweep(conditions: Optional[Sequence[str]] = None,
             report = replay_obstruction_row(row)
             if report["ok"]:
                 ruled_out |= rules_out(row)
+            else:
+                mismatches.append(f"{entry.name}/{row.condition}: obstruction row "
+                                  f"failed to replay: {report['detail']}")
         cx = None
         cells = {}
         for cond in conds:

@@ -1,11 +1,12 @@
 """Shared fixtures and hypothesis strategies for the test suite."""
+import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import strategies as st
 
-from hermlie import Complexification
+from hermlie import Complexification, obstructions
 from hermlie.catalog import list_entries
 from hermlie.forms import Form, all_index_tuples
 from hermlie.scalars import GaussianRational
@@ -68,3 +69,21 @@ def complexifications():
 @pytest.fixture(scope="session")
 def algebras():
     return catalog_algebras()
+
+
+# ---------------------------------------------------------------------------
+# a registry with one replay step that no longer holds
+
+
+@pytest.fixture()
+def tampered_lcskt_row(monkeypatch):
+    """The registry with the first step of the s6.162^1 lcskt row expecting
+    one more than its true value."""
+    rows = obstructions.obstruction_table()
+    i = next(i for i, r in enumerate(rows)
+             if r.algebra == "s6.162^1" and r.condition == "lcskt")
+    first = rows[i].steps[0]
+    bad = dataclasses.replace(first, expected=lambda c: first.expected(c) + 1)
+    rows[i] = dataclasses.replace(rows[i], steps=(bad,) + rows[i].steps[1:])
+    monkeypatch.setattr(obstructions, "_ROWS", rows)
+    return first.label

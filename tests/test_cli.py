@@ -194,6 +194,18 @@ class TestSearch:
 
 
 class TestObstruction:
+    def test_tampered_step_fails_without_traceback(self, capsys, tampered_lcskt_row):
+        code, out, err = run(capsys, "obstruction", "s6.162^1", "lcskt")
+        assert code == 1
+        assert "FAILED" in out and "replayed exactly" not in out
+        assert f"step {tampered_lcskt_row!r}" in out
+        assert "Traceback" not in out + err
+        code, out, _ = run(capsys, "--json", "obstruction", "s6.162^1", "lcskt")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert [r["ok"] for r in payload["rows"]] == [False]
+
     def test_replay(self, capsys):
         code, out, _ = run(capsys, "obstruction", "s6.145^0",
                            "first_gauduchon")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermlie.catalog import list_entries
 from hermlie.cpx import (
     Complexification,
     apply_matrix,
@@ -33,6 +34,25 @@ class TestJMatrices:
                            5: [0, 0, 0, 0, 0, 1]})
         assert [[GaussianRational.coerce(x) for x in row] for row in J] == [
             [GaussianRational.coerce(x) for x in row] for row in standard_j(6)]
+
+    def test_squares_to_minus_id_matches_the_full_square(self):
+        # every stock J, and each J with one entry moved by 1/7: the
+        # entry-by-entry test with its early exit agrees with all of J^2
+        def full_square_is_minus_id(J):
+            sq = [[sum((J[i][k] * J[k][j] for k in range(6)), GR_ZERO)
+                   for j in range(6)] for i in range(6)]
+            return all(sq[i][j] == (-GR_ONE if i == j else GR_ZERO)
+                       for i in range(6) for j in range(6))
+
+        stock = [ex.j() for entry in list_entries() for ex in entry.examples]
+        assert len(stock) == 55
+        for J in stock:
+            assert squares_to_minus_id(J) and full_square_is_minus_id(J)
+            for i in range(6):
+                for j in range(6):
+                    moved = [list(row) for row in J]
+                    moved[i][j] = moved[i][j] + Fraction(1, 7)
+                    assert squares_to_minus_id(moved) == full_square_is_minus_id(moved)
 
     def test_apply_matrix(self):
         v = apply_matrix(standard_j(6), [GR_ONE] + [GR_ZERO] * 5)

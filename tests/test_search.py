@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermlie import Complexification
 from hermlie.catalog import get_entry, list_entries
@@ -18,11 +19,17 @@ from hermlie.herm import (
 from hermlie.liealg import parse_structure_equations
 from hermlie.scalars import GaussianRational
 from hermlie.search import (
+    J_BOUNDS,
+    METRIC_BOUNDS,
     SearchConfig,
     _MetricResidual,
+    _best_rationals,
+    _exactify_j,
+    _exactify_metric,
     _j_model,
     _lm_minimize,
     _metric_objective,
+    _p_from_raw,
     _structure_tensor,
     classification_sweep,
     entry_complexification,
@@ -169,6 +176,123 @@ class TestComplexStructureSearch:
         assert min(out.best_residuals) > 1e-3
 
 
+# ---------------------------------------------------------------------------
+# rational reconstruction: one continued-fraction expansion per float gives
+# the candidates the per-bound limit_denominator loop gave
+
+
+def _limit_denominators(x, bounds):
+    return [(f.numerator, f.denominator)
+            for f in (Fraction(x).limit_denominator(b) for b in bounds)]
+
+
+def _reference_exactify_j(g, x):
+    """The per-bound reconstruction loop the search used to run."""
+    vals = x.reshape(6, 6)
+    previous = None
+    for bound in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 1000, 10**6):
+        Jq = [[GaussianRational.coerce(Fraction(float(v)).limit_denominator(bound))
+               for v in row] for row in vals]
+        if Jq == previous:
+            continue
+        previous = Jq
+        if not squares_to_minus_id(Jq):
+            continue
+        if not any(c for vec in nijenhuis(g, Jq).values() for c in vec):
+            return Jq
+    return None
+
+
+def _reference_exactify_metric(cx, condition, raw):
+    """The per-bound metric reconstruction loop the search used to run."""
+    p = _p_from_raw(raw)[0]
+    p = (p * (3.0 / (p[0] + p[1] + p[2]))).tolist()
+    previous = None
+    for bound in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 1000, 10**5):
+        q = [Fraction(x).limit_denominator(bound) for x in p]
+        lams, ws = q[:3], [GaussianRational(q[k], q[k + 1]) for k in (3, 5, 7)]
+        if (lams, ws) == previous:
+            continue
+        previous = (lams, ws)
+        metric = HermitianMetric(lams, ws)
+        if not is_positive(metric):
+            continue
+        omega = fundamental_form(metric)
+        report = CHECKERS[condition](cx, omega)
+        if report.holds:
+            return metric, omega, report
+    return None
+
+
+def _same_exact(a, b):
+    """Equal, and built from the same types (Fraction, GaussianRational)."""
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same_exact(x, y) for x, y in zip(a, b)))
+    return type(a) is type(b) and a == b
+
+
+@pytest.fixture(scope="module")
+def seed0_j_witnesses():
+    """(algebra, seed-0 J_float) of every catalog algebra, and the statuses."""
+    out, statuses = [], []
+    for entry in list_entries():
+        g = entry.algebra_instance()
+        outcome = find_complex_structure(g, SearchConfig(seed=0))
+        statuses.append(outcome.status)
+        out.append((g, np.array(outcome.witness["J_float"]).reshape(-1)))
+    return out, statuses
+
+
+class TestRationalReconstruction:
+    def test_bounds_are_the_searched_ones(self):
+        assert J_BOUNDS == (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 1000, 10**6)
+        assert METRIC_BOUNDS == (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 1000, 10**5)
+
+    @pytest.mark.parametrize("x", [
+        0.0, -0.0, 1.0, -3.0, 2.0 ** 53, 0.5, -0.5, 1.5, 2.5, 0.125, -2 / 3, 1 / 3,
+        5 / 7, 0.1, 1e-7, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+        1e300, -1e300, 1.7976931348623157e308, 3.141592653589793,
+    ])
+    def test_best_rationals_match_limit_denominator(self, x):
+        for bounds in (J_BOUNDS, METRIC_BOUNDS):
+            assert _best_rationals(x, bounds) == _limit_denominators(x, bounds)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_best_rationals_property(self, x):
+        for bounds in (J_BOUNDS, METRIC_BOUNDS):
+            assert _best_rationals(x, bounds) == _limit_denominators(x, bounds)
+
+    def test_j_reconstruction_unchanged_on_seed0_witnesses(self, seed0_j_witnesses):
+        witnesses, statuses = seed0_j_witnesses
+        assert len(witnesses) == 34
+        assert (statuses.count("found"), statuses.count("float-only")) == (10, 24)
+        for k, (g, x) in enumerate(witnesses):
+            assert _same_exact(_exactify_j(g, x), _reference_exactify_j(g, x)), g.name
+            moved = x.copy()
+            moved[(7 * k) % 36] += 1e-3
+            assert _same_exact(_exactify_j(g, moved), _reference_exactify_j(g, moved)), g.name
+
+    def test_metric_reconstruction_unchanged_on_seed0_hits(self):
+        hits = 0
+        for entry in list_entries():
+            for ex in entry.examples:
+                cx = Complexification.from_real(ex.algebra_instance(), ex.j())
+                for cond in ex.conditions:
+                    outcome = find_metric(cx, cond, SearchConfig(seed=0))
+                    if outcome.status != "found":
+                        continue
+                    hits += 1
+                    raw = np.array(outcome.witness["raw"])
+                    got = _exactify_metric(cx, cond, raw)
+                    want = _reference_exactify_metric(cx, cond, raw)
+                    assert _same_exact(list(got[0].lams), list(want[0].lams))
+                    assert _same_exact(list(got[0].ws), list(want[0].ws))
+                    assert got[1] == want[1] and got[2].holds == want[2].holds
+        assert hits == 113  # of 114 claimed (example, condition) pairs
+
+
 GOLDEN_METRICS = [(f"{entry.name}#{k}", ex) for entry in list_entries()
                   for k, ex in enumerate(entry.examples) if ex.omega]
 
@@ -287,3 +411,13 @@ class TestSweep:
         verified = {r["algebra"] for r in result["rows"]
                     if r["cells"]["tamed"]["status"] == "verified-example"}
         assert verified == {"s3.3^0+R3", "s5.13^p,-p,r+R"}
+
+    def test_failed_replay_is_a_mismatch(self, tampered_lcskt_row):
+        result = classification_sweep(
+            conditions=("lcskt",), cfg=SearchConfig(restarts=1, max_iters=5))
+        assert not result["ok"]
+        failed = [m for m in result["mismatches"] if "failed to replay" in m]
+        assert len(failed) == 1 and failed[0].startswith("s6.162^1/lcskt: ")
+        assert f"step {tampered_lcskt_row!r}" in failed[0]
+        cell, = (r["cells"]["lcskt"] for r in result["rows"] if r["algebra"] == "s6.162^1")
+        assert cell["status"] == "search-evidence"
