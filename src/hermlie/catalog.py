@@ -596,14 +596,11 @@ def _entries() -> list[CatalogEntry]:
 def _controls() -> list[CatalogEntry]:
     """Algebras of the same class proven to admit no complex structure."""
     data = [
-        ("s6.140^-1", "(f35+f16, f45-f26, f36, -f46, 0, 0)", "n5.1",
-         {"merged": "(f35+f16, f45-f26, f36, -f46, 0, 0)"}),
+        ("s6.140^-1", "(f35+f16, f45-f26, f36, -f46, 0, 0)", "n5.1", {}),
         ("s6.146^-1", "(f35+f16+f36, f45-f26-f46, f36, -f46, 0, 0)", "n5.1",
          {"corrected": "(f35+f16, f45-f26+f36, f36, -f46, 0, 0)"}),
-        ("s6.151", "(f35+f16, f34-f26-f46, f45, -f46, f56, 0)", "n5.2",
-         {"merged": "(f35+f16, f34-f26-f46, f45, -f46, f56, 0)"}),
-        ("s6.155^1", "(f35+f16, f34-f26, f45, -f46, f56, 0)", "n5.2",
-         {"merged": "(f35+f16, f34-f26, f45, -f46, f56, 0)"}),
+        ("s6.151", "(f35+f16, f34-f26-f46, f45, -f46, f56, 0)", "n5.2", {}),
+        ("s6.155^1", "(f35+f16, f34-f26, f45, -f46, f56, 0)", "n5.2", {}),
     ]
     out = []
     for name, eqs, nil, variants in data:

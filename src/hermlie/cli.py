@@ -2,13 +2,18 @@
 randomized searches, obstruction replays, lattice probes, and the
 classification grid report.
 
-Every report embeds a reproducibility manifest (command, arguments, seed,
-artifact and catalog versions, wall time).  All output is deterministic for
-a fixed seed and version except the wall-time line.
+Each ``cmd_*`` function takes the parsed arguments and returns
+``(exit_code, payload, lines)``; it prints nothing.  :func:`main` is the one
+place that prints a report: under ``--json`` the payload with the
+reproducibility manifest (command, arguments, seed, artifact and catalog
+versions, wall time), otherwise the manifest header, the text lines and the
+wall-time footer.  ``report-table --csv`` is the one bare output, with no
+header or footer.  All output is deterministic for a fixed seed and version
+except the wall time.
 
 Exit codes: 0 success / all checks pass; 1 verification mismatch; 2 input,
 IO, or schema error.  Every input error is raised as ``_SchemaError``, and
-:func:`main` is the one place that prints it and returns 2.
+:func:`main` prints it to stderr and returns 2.
 """
 from __future__ import annotations
 
@@ -17,13 +22,10 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field, is_dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from . import __version__
-from .scalars import GaussianRational, Poly
-from .forms import Form
-from .herm import CHECKERS, HermitianMetric
+from .herm import CHECKERS
 from .catalog import (
     CATALOG_VERSION,
     ExampleStructure,
@@ -71,25 +73,31 @@ class RunManifest:
 
 
 def _jsonable(obj):
+    """``obj`` with its dict keys and every value that is not a JSON scalar
+    (exact scalars, polynomials, forms, metrics) written as text."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, (Fraction, GaussianRational, Poly, Form, HermitianMetric)):
-        return str(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if is_dataclass(obj):
-        return {k: _jsonable(v) for k, v in vars(obj).items()}
     return str(obj)
 
 
 def _emit_json(payload: dict, manifest: RunManifest):
-    payload = dict(payload)
     manifest.finish()
-    payload["manifest"] = _jsonable(
-        {k: v for k, v in vars(manifest).items() if k != "started"})
+    payload = _jsonable({**payload, "manifest": {
+        k: v for k, v in vars(manifest).items() if k != "started"}})
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _write_csv(result: dict):
+    """The ``report-table --csv`` grid: one row per algebra, no manifest."""
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(["algebra", *result["conditions"]])
+    for row in result["rows"]:
+        out.writerow([row["algebra"],
+                      *(row["cells"][c]["status"] for c in result["conditions"])])
 
 
 def _seed(args) -> int:
@@ -189,9 +197,9 @@ def _stock_examples() -> list:
     return out
 
 
-def cmd_verify_catalog(args, manifest: RunManifest) -> int:
+def cmd_verify_catalog(args):
     if args.dump:
-        payload = {"examples": [
+        rows = [
             {
                 "algebra": ex.algebra,
                 "conditions": list(ex.conditions),
@@ -205,15 +213,14 @@ def cmd_verify_catalog(args, manifest: RunManifest) -> int:
                 "mu": ex.mu,
             }
             for ex in _stock_examples()
-        ]}
+        ]
         try:
             with open(args.dump, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
+                json.dump({"examples": rows}, fh, indent=2, sort_keys=True)
         except OSError as err:
             raise _SchemaError(f"cannot write catalog file: {err}") from None
-        print(manifest.header())
-        print(f"wrote {len(payload['examples'])} example rows to {args.dump}")
-        return 0
+        return (0, {"wrote": len(rows), "file": args.dump},
+                [f"wrote {len(rows)} example rows to {args.dump}"])
 
     failures = []
     lines = []
@@ -235,23 +242,15 @@ def cmd_verify_catalog(args, manifest: RunManifest) -> int:
         lines.append(f"{tag}: {'ok' if ok else 'FAIL ' + str(rep)}")
         if not ok:
             failures.append(tag)
-    if args.json:
-        _emit_json({"rows": lines, "failures": failures, "ok": not failures},
-                   manifest)
-    else:
-        print(manifest.header())
-        for line in lines:
-            print(line)
-        print(f"{len(lines)} rows, {len(failures)} failures")
-        print(manifest.footer())
-    return 1 if failures else 0
+    return (1 if failures else 0, {"rows": lines, "failures": failures, "ok": not failures},
+            [*lines, f"{len(lines)} rows, {len(failures)} failures"])
 
 
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
 
-def cmd_check(args, manifest: RunManifest) -> int:
+def cmd_check(args):
     from .cpx import is_integrable, nijenhuis, squares_to_minus_id
     from .herm import is_positive_form
 
@@ -280,36 +279,30 @@ def cmd_check(args, manifest: RunManifest) -> int:
         report["omega_positive"] = positive
         if positive:
             report["conditions"] = {
-                name: {"holds": bool(rep), "certificate": _jsonable(rep.certificate),
+                name: {"holds": bool(rep), "certificate": rep.certificate,
                        "notes": rep.notes}
                 for name, rep in ((n, fn(cx, om)) for n, fn in CHECKERS.items())
             }
     else:
         report["note"] = "no metric supplied; only J-level checks were run"
 
-    if args.json:
-        _emit_json(report, manifest)
-    else:
-        print(manifest.header())
-        print(f"algebra: {report['algebra']}")
-        print(f"J^2 = -Id: {report['J_squares_to_minus_id']}")
-        print(f"J integrable: {report['J_integrable']}")
-        if "omega_positive" in report:
-            print(f"omega positive: {report['omega_positive']}")
-        for name, rep in report.get("conditions", {}).items():
-            mark = "holds" if rep["holds"] else "fails"
-            print(f"  {name:20s} {mark}")
-        if report.get("note"):
-            print(report["note"])
-        print(manifest.footer())
-    return 0
+    lines = [f"algebra: {report['algebra']}",
+             f"J^2 = -Id: {report['J_squares_to_minus_id']}",
+             f"J integrable: {report['J_integrable']}"]
+    if "omega_positive" in report:
+        lines.append(f"omega positive: {report['omega_positive']}")
+    for name, rep in report.get("conditions", {}).items():
+        lines.append(f"  {name:20s} {'holds' if rep['holds'] else 'fails'}")
+    if report.get("note"):
+        lines.append(report["note"])
+    return 0, report, lines
 
 
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
 
-def cmd_search(args, manifest: RunManifest) -> int:
+def cmd_search(args):
     from .search import find_complex_structure, find_metric, entry_complexification
 
     entry = _entry(args.algebra)
@@ -322,7 +315,7 @@ def cmd_search(args, manifest: RunManifest) -> int:
             "status": outcome.status,
             "note": outcome.note,
             "best_residuals": list(outcome.best_residuals),
-            "exact_J": _jsonable(witness.get("J_exact")),
+            "exact_J": witness.get("J_exact"),
         }
     else:
         if args.condition not in CHECKERS:
@@ -338,33 +331,27 @@ def cmd_search(args, manifest: RunManifest) -> int:
             "status": outcome.status,
             "note": outcome.note,
             "best_residuals": list(outcome.best_residuals),
-            "metric": _jsonable(witness.get("metric")),
+            "metric": witness.get("metric"),
         }
     summary["algebra"] = entry.name
-    if args.json:
-        _emit_json(summary, manifest)
-    else:
-        print(manifest.header())
-        print(f"algebra: {entry.name}")
-        print(f"target: {summary['target']}")
-        print(f"status: {summary['status']} ({summary['note']})")
-        print(f"best residual: {min(outcome.best_residuals):.3e} "
-              f"over {len(outcome.best_residuals)} restarts")
-        if summary.get("exact_J"):
-            print("exact witness J:")
-            for row in summary["exact_J"]:
-                print("  [" + ", ".join(str(v) for v in row) + "]")
-        if summary.get("metric"):
-            print(f"exact witness metric: {summary['metric']}")
-        print(manifest.footer())
-    return 0
+    lines = [f"algebra: {entry.name}",
+             f"target: {summary['target']}",
+             f"status: {summary['status']} ({summary['note']})",
+             f"best residual: {min(outcome.best_residuals):.3e} "
+             f"over {len(outcome.best_residuals)} restarts"]
+    if summary.get("exact_J"):
+        lines.append("exact witness J:")
+        lines += ["  [" + ", ".join(str(v) for v in row) + "]" for row in summary["exact_J"]]
+    if summary.get("metric"):
+        lines.append(f"exact witness metric: {summary['metric']}")
+    return 0, summary, lines
 
 
 # ---------------------------------------------------------------------------
 # obstruction
 # ---------------------------------------------------------------------------
 
-def cmd_obstruction(args, manifest: RunManifest) -> int:
+def cmd_obstruction(args):
     from .obstructions import obstruction_table, replay_obstruction_row
 
     _entry(args.algebra)
@@ -374,31 +361,23 @@ def cmd_obstruction(args, manifest: RunManifest) -> int:
     rows = obstruction_table(algebra=args.algebra, condition=args.condition)
     reports = [replay_obstruction_row(row) for row in rows]
     ok = bool(rows) and all(rep["ok"] for rep in reports)
-    if args.json:
-        _emit_json({"rows": _jsonable(reports), "ok": ok}, manifest)
-    elif not rows:
-        print(manifest.header())
-        print(f"no registered obstruction rows for "
-              f"({args.algebra}, {args.condition})")
-    else:
-        print(manifest.header())
-        for row, rep in zip(rows, reports):
-            print(f"{row.algebra} [{row.condition}] branch={row.branch or '-'} "
-                  f"conclusion={row.conclusion}: "
-                  f"{'replayed exactly' if rep['ok'] else 'FAILED'} "
-                  f"({rep['runs']} runs, "
-                  f"{len(rep['steps'])} steps)")
-            if not rep["ok"]:
-                print(f"  {rep['detail']}")
-        print(manifest.footer())
-    return 0 if ok else 1
+    lines = [] if rows else [f"no registered obstruction rows for "
+                             f"({args.algebra}, {args.condition})"]
+    for row, rep in zip(rows, reports):
+        lines.append(f"{row.algebra} [{row.condition}] branch={row.branch or '-'} "
+                     f"conclusion={row.conclusion}: "
+                     f"{'replayed exactly' if rep['ok'] else 'FAILED'} "
+                     f"({rep['runs']} runs, {len(rep['steps'])} steps)")
+        if not rep["ok"]:
+            lines.append(f"  {rep['detail']}")
+    return 0 if ok else 1, {"rows": reports, "ok": ok}, lines
 
 
 # ---------------------------------------------------------------------------
 # lattice-probe
 # ---------------------------------------------------------------------------
 
-def cmd_lattice_probe(args, manifest: RunManifest) -> int:
+def cmd_lattice_probe(args):
     from .lattice import BUILTIN_PROBES, builtin_probe, run_probe
 
     if (args.X is None) != (args.t is None):
@@ -416,70 +395,48 @@ def cmd_lattice_probe(args, manifest: RunManifest) -> int:
         report = builtin_probe(args.algebra)
     else:
         raise _SchemaError("no built-in probe for this algebra; supply --X and --t")
-    if args.json:
-        _emit_json(_jsonable(report), manifest)
-    else:
-        print(manifest.header())
-        print(f"algebra: {report['algebra']}")
-        print(f"status: {report['status']}")
-        if report.get("note"):
-            print(f"note: {report['note']}")
-        if report.get("rounded"):
-            print("integer matrix:")
-            for row in report["rounded"]:
-                print("  " + " ".join(f"{v:3d}" for v in row))
-        elif report.get("matrix"):
-            print("matrix:")
-            for row in report["matrix"]:
-                print("  " + " ".join(f"{v:9.5f}" for v in row))
-        print(manifest.footer())
-    return 0
+    lines = [f"algebra: {report['algebra']}", f"status: {report['status']}"]
+    if report.get("note"):
+        lines.append(f"note: {report['note']}")
+    if report.get("rounded"):
+        lines.append("integer matrix:")
+        lines += ["  " + " ".join(f"{v:3d}" for v in row) for row in report["rounded"]]
+    elif report.get("matrix"):
+        lines.append("matrix:")
+        lines += ["  " + " ".join(f"{v:9.5f}" for v in row) for row in report["matrix"]]
+    return 0, report, lines
 
 
 # ---------------------------------------------------------------------------
 # report-table
 # ---------------------------------------------------------------------------
 
-def cmd_report_table(args, manifest: RunManifest) -> int:
+def cmd_report_table(args):
     from .search import classification_sweep
 
     result = classification_sweep(cfg=_search_config(args, restarts=8, max_iters=40))
     conds = result["conditions"]
-
-    if args.json:
-        _emit_json(_jsonable(result), manifest)
-        return 0 if result["ok"] else 1
-    if args.csv:
-        out = csv.writer(sys.stdout, lineterminator="\n")
-        out.writerow(["algebra", *conds])
-        for row in result["rows"]:
-            out.writerow([row["algebra"], *(row["cells"][c]["status"] for c in conds)])
-        return 0 if result["ok"] else 1
-
-    print(manifest.header())
     short = {"kahler": "Kah", "skt": "SKT", "balanced": "Bal", "lck": "LCK",
              "lcskt": "LCSKT", "lcb": "LCB", "first_gauduchon": "1stG",
              "strongly_gauduchon": "StrG"}
     width = max(len(r["algebra"]) for r in result["rows"]) + 1
-    print(" " * width + " ".join(f"{short.get(c, c):>5s}" for c in conds))
+    lines = [" " * width + " ".join(f"{short.get(c, c):>5s}" for c in conds)]
     for row in result["rows"]:
         cells = " ".join(
             f"{_STATUS_SYMBOL.get(row['cells'][c]['status'], '?'):>5s}"
             for c in conds)
-        print(f"{row['algebra']:<{width}s}{cells}")
-    print("legend: V verified example (exact), O obstruction replayed (exact), "
-          "e search exhausted (evidence, not proof), X mismatch")
-    print("excluded algebras (no complex structure):")
-    for ctl in result["controls"]:
-        print(f"  {ctl['algebra']}: {_STATUS_SYMBOL[ctl['status']]} {ctl['detail']}")
+        lines.append(f"{row['algebra']:<{width}s}{cells}")
+    lines.append("legend: V verified example (exact), O obstruction replayed (exact), "
+                 "e search exhausted (evidence, not proof), X mismatch")
+    lines.append("excluded algebras (no complex structure):")
+    lines += [f"  {ctl['algebra']}: {_STATUS_SYMBOL[ctl['status']]} {ctl['detail']}"
+              for ctl in result["controls"]]
     if result["mismatches"]:
-        print("DIFF against recorded claims:")
-        for m in result["mismatches"]:
-            print(f"  {m}")
+        lines.append("DIFF against recorded claims:")
+        lines += [f"  {m}" for m in result["mismatches"]]
     else:
-        print("diff against recorded claims: empty")
-    print(manifest.footer())
-    return 0 if result["ok"] else 1
+        lines.append("diff against recorded claims: empty")
+    return 0 if result["ok"] else 1, result, lines
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +511,17 @@ def main(argv=None) -> int:
         seed=_seed(args),
     )
     try:
-        return _DISPATCH[args.command](args, manifest)
+        code, payload, lines = _DISPATCH[args.command](args)
     except _SchemaError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    if args.json:
+        _emit_json(payload, manifest)
+    elif getattr(args, "csv", False):
+        _write_csv(payload)
+    else:
+        print(manifest.header(), *lines, manifest.footer(), sep="\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -90,7 +90,8 @@ class ReplayContext:
         return self.ring.var(name)
 
     def p(self, name):
-        """Parameter value: symbolic Poly, sign, or exact sample."""
+        """Parameter value: a symbolic Poly, or a sign or sample value as a
+        ``GaussianRational``."""
         return self.params[name]
 
     re = staticmethod(re_part)
@@ -305,24 +306,29 @@ def _build_residual(row: ObstructionRow, ctx: ReplayContext, frame):
     raise ValueError(f"no residual for condition {row.condition!r}")
 
 
+def _exact(values: dict) -> dict:
+    return {k: GaussianRational.coerce(v) for k, v in values.items()}
+
+
 def _contexts(row: ObstructionRow):
-    """One context per sign choice and sample of the row, residual built."""
+    """One context per sign choice and sample of the row, residual built.
+    Signs and sample values are bound as ``GaussianRational``s."""
     if row.condition == "complex":
         for name, sample in zip(row.algebra.split("|"), row.samples, strict=True):
             ring, J = generic_j_ring(6)
             J2 = [[sum((J[i][t] * J[t][j] for t in range(6)), ring.zero())
                    for j in range(6)] for i in range(6)]
-            ctx = ReplayContext(ring, {k: GaussianRational.coerce(v) for k, v in sample.items()})
+            ctx = ReplayContext(ring, _exact(sample))
             ctx.residual = (nijenhuis(get_entry(name).algebra_instance(), J), J2)
             yield ctx
         return
     for signs in product((1, -1), repeat=len(row.signs)):
         for sample in row.samples or ({},):
             ring = _metric_ring(row)
-            params = dict(zip(row.signs, signs))
+            params = _exact(dict(zip(row.signs, signs)))
             params.update({n: ring.var(n) for n in row.sym_real})
             params.update({n: ring.var(n) for n in row.sym_cpx})
-            params.update(sample)
+            params.update(_exact(sample))
             ctx = ReplayContext(ring, params)
             ctx.residual = _build_residual(
                 row, ctx, instantiate_family(row.family_id, params))
@@ -737,20 +743,16 @@ def _rows_lck() -> list:
 def _47_force(c: ReplayContext):
     """Bind the sampled metric, then y = -eps l1 / l2 and zeta = eps w2~ / l2."""
     for var in ("l1", "l2", "l3", "w2"):
-        c.set(var, GaussianRational.coerce(c.p(var + "s")))
-    eps = GaussianRational.coerce(c.p("eps"))
-    inv = GaussianRational.coerce(c.p("l2s")).inverse()
-    c.set("y", -(eps * GaussianRational.coerce(c.p("l1s")) * inv))
-    c.set("zeta", eps * inv * conj_scalar(GaussianRational.coerce(c.p("w2s"))))
+        c.set(var, c.p(var + "s"))
+    eps = c.p("eps")
+    inv = c.p("l2s").inverse()
+    c.set("y", -(eps * c.p("l1s") * inv))
+    c.set("zeta", eps * inv * conj_scalar(c.p("w2s")))
 
 
 def _47_substituted_final(c: ReplayContext):
     """xi_13_3' + (eps / l2)(l1 l3 - |w2|^2) at the sampled metric."""
-    eps = GaussianRational.coerce(c.p("eps"))
-    l1 = GaussianRational.coerce(c.p("l1s"))
-    l2 = GaussianRational.coerce(c.p("l2s"))
-    l3 = GaussianRational.coerce(c.p("l3s"))
-    w2 = GaussianRational.coerce(c.p("w2s"))
+    eps, l1, l2, l3, w2 = (c.p(n) for n in ("eps", "l1s", "l2s", "l3s", "w2s"))
     claimed = -(eps * l2.inverse() * (l1 * l3 - w2 * w2.conj()))
     return c.xi(1, 3, 6) - claimed
 
@@ -795,24 +797,23 @@ def _rows_strg() -> list:
 
     def _152b_expected(c):
         d = c.p("delta")
-        imz2 = GaussianRational(GaussianRational.coerce(c.p("z2")).im)
+        imz2 = GaussianRational(c.p("z2").im)
         return I * d * imz2 * (c.v("l1") * c.v("l2") - c.norm_sq(c.v("w3")))
 
     rows.append(simple(
         "s6.152", "N52-152-b", "J2", (), (), (),
         _152B_SAMPLES[:2],
-        lambda c: c.re(GaussianRational.coerce(c.p("z1"))) * c.xi(1, 2, 3, 4, 5)
+        lambda c: c.re(c.p("z1")) * c.xi(1, 2, 3, 4, 5)
         + c.xi(1, 2, 3, 4, 6),
         _152b_expected))
 
     def _154_expected(c):
-        x = GaussianRational.coerce(F(1) * c.p("x"))
-        return I * x * (c.v("l1") * c.v("l2") - c.norm_sq(c.v("w3")))
+        return I * c.p("x") * (c.v("l1") * c.v("l2") - c.norm_sq(c.v("w3")))
 
     rows.append(simple(
         "s6.154^0", "N52-154", "", (), (), (),
         _154_SAMPLES[:2],
-        lambda c: c.re(GaussianRational.coerce(c.p("z"))) * c.xi(1, 2, 3, 4, 5)
+        lambda c: c.re(c.p("z")) * c.xi(1, 2, 3, 4, 5)
         + c.xi(1, 2, 3, 4, 6),
         _154_expected))
 
@@ -877,9 +878,7 @@ def _rows_firstg() -> list:
         samples=_152B_SAMPLES))
 
     def _154_fg(c):
-        z = GaussianRational.coerce(c.p("z"))
-        x = GaussianRational.coerce(F(1) * c.p("x"))
-        y = GaussianRational.coerce(F(1) * c.p("y"))
+        z, x, y = c.p("z"), c.p("x"), c.p("y")
         nz = z * z.conj()
         num = (x * y - nz) ** 2 + x ** 2
         return -(c.v("l1") ** 2) * (num * (2 * x ** 4).inverse())

@@ -534,11 +534,13 @@ def find_metric(cx: Complexification, condition: str,
     fn = functools.partial(_metric_objective, _MetricResidual(cx, condition))
     rng = np.random.default_rng(cfg.seed)
     best_norms = []
+    hits = 0
     for t in range(cfg.restarts):
         x0 = np.zeros(9) if t == 0 else rng.normal(0.0, 0.8, 9)
         x, nrm = _lm_minimize(fn, x0, cfg)
         best_norms.append(nrm)
         if nrm <= max(cfg.tol, 1e-12):
+            hits += 1
             exact = _exactify_metric(cx, condition, x)
             if exact is not None:
                 metric, omega, report = exact
@@ -553,13 +555,14 @@ def find_metric(cx: Complexification, condition: str,
                     "rational reconstruction verified exactly",
                 )
             # A float hit the exact gate rejects is not trusted as a witness.
-    return SearchOutcome(
-        "exhausted",
-        None,
-        tuple(best_norms),
-        f"no {condition} metric found for this complex structure "
-        "(evidence, not proof)",
-    )
+    if hits:
+        note = (f"{hits} of {cfg.restarts} restarts reached the tolerance, but no "
+                f"rational reconstruction with denominators up to {METRIC_BOUNDS[-1]} "
+                f"passed the exact {condition} check (evidence, not proof)")
+    else:
+        note = (f"no {condition} metric found for this complex structure "
+                "(evidence, not proof)")
+    return SearchOutcome("exhausted", None, tuple(best_norms), note)
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +674,7 @@ def classification_sweep(conditions: Optional[Sequence[str]] = None,
                     cell = {"status": "mismatch",
                             "detail": "search found a witness where none is claimed"}
                 else:
-                    cell = {"status": "search-evidence",
-                            "detail": "search exhausted (evidence, not proof)"}
+                    cell = {"status": "search-evidence", "detail": outcome.note}
             if cell["status"] == "mismatch":
                 mismatches.append(f"{entry.name}/{cond}: {cell['detail']}")
             cells[cond] = cell

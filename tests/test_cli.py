@@ -28,6 +28,19 @@ def dumped_catalog(tmp_path, capsys):
 
 
 class TestVerifyCatalog:
+    def test_stock_catalog(self, capsys):
+        code, out, _ = run(capsys, "verify-catalog")
+        assert code == 0
+        assert "\n93 rows, 0 failures\n" in out
+
+    def test_dump_json(self, tmp_path, capsys):
+        path = tmp_path / "catalog.json"
+        code, out, _ = run(capsys, "--json", "verify-catalog", "--dump", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["wrote"] == len(json.loads(path.read_text())["examples"]) == 55
+        assert payload["file"] == str(path)
+
     def test_dump_and_reverify(self, dumped_catalog, capsys):
         code, out, _ = run(capsys, "verify-catalog", str(dumped_catalog))
         assert code == 0
@@ -442,6 +455,59 @@ class TestFuzzedArguments:
         code, out = self._exit_code(argv)
         if "--json" in argv and code in (0, 1):
             assert isinstance(json.loads(out)["ok"], bool), argv
+
+
+# one invocation of each command, with its exit code; {name} fields are
+# filled from the contract_inputs fixture
+_CONTRACT = {
+    "verify-catalog --dump": (["verify-catalog", "--dump", "{dump}"], 0),
+    "verify-catalog FILE": (["verify-catalog", "{two_rows}"], 0),
+    "check": (["check", "{check}"], 0),
+    "search": (["search", "s6.145^0", "--restarts", "1"], 0),
+    "obstruction": (["obstruction", "s6.145^0", "first_gauduchon"], 0),
+    "obstruction no rows": (["obstruction", "s6.25", "balanced"], 1),
+    "lattice-probe": (["lattice-probe", "s6.147^0"], 0),
+    "report-table": (["report-table", "--restarts", "1", "--max-iters", "5"], 0),
+}
+
+
+@pytest.fixture()
+def contract_inputs(dumped_catalog, tmp_path):
+    two_rows = tmp_path / "two.json"
+    examples = json.loads(dumped_catalog.read_text())["examples"]
+    two_rows.write_text(json.dumps({"examples": examples[:2]}))
+    check = tmp_path / "check.json"
+    check.write_text(json.dumps({"algebra": "s5.16+R",
+                                 "j_images": {"1": "f2", "3": "f4", "5": "f6"},
+                                 "omega": "f12+f34+f56"}))
+    return {"dump": str(tmp_path / "out.json"), "two_rows": str(two_rows),
+            "check": str(check)}
+
+
+class TestOutputContract:
+    """Every command reports through its manifest: under ``--json`` one JSON
+    object whose manifest names the command, otherwise a header line first
+    and the wall-time footer last.  ``report-table --csv`` alone is bare."""
+
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    @pytest.mark.parametrize("argv,expected", _CONTRACT.values(), ids=_CONTRACT.keys())
+    def test_every_command(self, capsys, contract_inputs, argv, expected, as_json):
+        argv = [a.format(**contract_inputs) for a in argv]
+        code, out, _ = run(capsys, *(["--json"] if as_json else []), *argv)
+        assert code == expected
+        if as_json:
+            assert json.loads(out)["manifest"]["command"] == argv[0]
+        else:
+            assert out.startswith(f"# hermlie {argv[0]} | ")
+            assert out.splitlines()[-1].startswith("# wall_time_s=")
+
+    def test_csv_is_bare(self, capsys):
+        code, out, _ = run(capsys, "report-table", "--csv",
+                           "--restarts", "1", "--max-iters", "5")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("algebra,") and len(lines) == 35
+        assert not any(line.startswith("#") for line in lines)
 
 
 class TestReportTable:

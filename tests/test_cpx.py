@@ -64,6 +64,12 @@ class TestIntegrability:
         assert is_integrable(ABELIAN, standard_j(6))
         assert not nijenhuis(ABELIAN, standard_j(6))[(1, 2)][0]
 
+    def test_j_squared_not_minus_id_is_rejected(self):
+        # on the abelian algebra N = 0 for any J, so only J^2 != -Id rejects 2 J
+        double = [[2 * x for x in row] for row in standard_j(6)]
+        assert not squares_to_minus_id(double)
+        assert is_integrable(ABELIAN, double) is None
+
     def test_control_rejects_standard_j(self):
         assert not is_integrable(CONTROL, standard_j(6))
         nj = nijenhuis(CONTROL, standard_j(6))
@@ -176,16 +182,30 @@ class TestFrameOperators:
             assert conj_alpha(conj_alpha(w)) == w
 
 
+FAMILY_IDS = (
+    "AA-s3.3^0+R3", "AA-s4.3+R2", "AA-s4.5+R2", "AA-s5.4^0+R", "AA-s5.8^0+R",
+    "AA-s5.9+R", "AA-s5.11+R", "AA-s5.13+R", "AA-s6.14", "AA-s6.16", "AA-s6.17",
+    "AA-s6.18", "AA-s6.19", "AA-s6.20", "AA-s6.21",
+    "HT-h3+s3.3^0", "HT-s4.7+R2", "HT-s6.44", "HT-s6.52", "HT-s6.159",
+    "HT-s6.162^1", "HT-s6.165", "HT-s6.166", "HT-s6.167",
+    "N51-145", "N51-147-a", "N51-147-b", "N51-147-c", "N52-152-a", "N52-152-b",
+    "N52-154",
+)
+# one value for every parameter any family reads; N52-152-b and N52-154
+# divide by delta Im(z2) = -3 and by x = 2
+FAMILY_PARAMS = {
+    "eps": 1, "delta": -1, "p": 2, "q": Fraction(1, 2), "r": 3, "x": 2, "y": 1,
+    "z": GaussianRational(1, 1), "z1": GaussianRational(2, -1),
+    "z2": GaussianRational(1, 3), "nu": GR_I, "c": 1,
+}
+
+
 class TestFamilies:
-    @pytest.mark.parametrize("fid,params", [
-        ("HT-s6.162^1", {}),
-        ("HT-h3+s3.3^0", {"eps": 1}),
-        ("N51-145", {"nu": 0, "c": 1}),
-    ])
-    def test_realified_families_are_lie_algebras(self, fid, params):
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_realified_families_are_lie_algebras(self, fid):
         # d^2 = 0 on the frame is the Jacobi identity of the real algebra
         # that the family's complex structure equations describe
-        assert instantiate_family(fid, params).integrable()
+        assert instantiate_family(fid, FAMILY_PARAMS).integrable()
 
     def test_unknown_family(self):
         with pytest.raises(KeyError):

@@ -379,6 +379,23 @@ class TestMetricSearch:
         # the exact first-Gauduchon coefficient is -2 l1^2 < 0 for any
         # positive metric, so no float hit may survive the exact gate
         assert out.status == "exhausted"
+        assert out.note == ("no first_gauduchon metric found for this complex "
+                            "structure (evidence, not proof)")
+
+    def test_rejected_hits_are_counted_in_the_note(self):
+        # restarts on this stored example reach the tolerance, but no
+        # reconstruction of their points passes the exact first-Gauduchon check
+        ex = get_entry("s6.19^p,p,q,-p-q/2").examples[3]
+        cx = Complexification.from_real(ex.algebra_instance(), ex.j())
+        cfg = SearchConfig(seed=0)
+        out = find_metric(cx, "first_gauduchon", cfg)
+        assert out.status == "exhausted"
+        hits = sum(r <= cfg.tol for r in out.best_residuals)
+        assert hits > 0
+        assert out.note == (
+            f"{hits} of {cfg.restarts} restarts reached the tolerance, but no rational "
+            f"reconstruction with denominators up to {METRIC_BOUNDS[-1]} passed the "
+            "exact first_gauduchon check (evidence, not proof)")
 
     def test_kahler_algebra_admits_everything(self):
         cx = entry_complexification(get_entry("s3.3^0+R3"))
@@ -400,6 +417,21 @@ class TestSweep:
         assert verified == 15
         assert all(c["status"] == "obstruction-replayed"
                    for c in result["controls"])
+
+    def test_evidence_cell_carries_the_search_note(self):
+        # on the SKT algebras the lcskt search converges to SKT metrics (mu = 0),
+        # which the exact lcskt check rejects; the other evidence cells had no hit
+        cfg = SearchConfig(seed=0, restarts=8, max_iters=40)
+        result = classification_sweep(conditions=("lcskt",), cfg=cfg)
+        details = {r["algebra"]: r["cells"]["lcskt"]["detail"] for r in result["rows"]
+                   if r["cells"]["lcskt"]["status"] == "search-evidence"}
+        rejected = {a for a, d in details.items() if "reached the tolerance" in d}
+        assert rejected == {"s4.3^-1/2,-1/2+R2", "s4.5^p,-p/2+R2", "s4.6+R2", "s6.25",
+                            "s6.51^p,0", "s6.158", "s6.164^p"}
+        assert all(details[a].startswith("no lcskt metric found")
+                   for a in details.keys() - rejected)
+        cx = entry_complexification(get_entry("s6.25"))
+        assert details["s6.25"] == find_metric(cx, "lcskt", cfg).note
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_tamed_sweep_reads_the_kahler_witnesses(self, seed):
