@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Time the exact layer on the ``certify`` path: obstruction replay, golden
+examples and d of a basis monomial.
+
+    python3 scripts/exact_layer.py
+
+It prints three tables:
+
+* ``replay``: per obstruction row of ``obstructions.obstruction_table``,
+  named by its family (its algebra when it has none) and condition, the
+  median over 5 runs of one ``obstructions.replay_obstruction_row`` call.
+  Every replay is cold: each context builds its own ring and
+  ``cpx.instantiate_family`` frame, so no image of d is cached between runs.
+  The last line sums the medians;
+* ``verify_example``: over the stock golden examples of every catalog entry,
+  the median of each example's median over 5 ``catalog.verify_example``
+  calls, and their sum;
+* ``_monomial``: per degree of the monomial, the number of
+  ``forms.Antiderivation._monomial`` calls in one pass of every replay and
+  every ``verify_example`` above, and their mean time in microseconds (each
+  call timed with ``time.perf_counter`` around it).
+
+Run it at two commits on the same machine and compare the columns.
+"""
+from __future__ import annotations
+
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from hermlie import catalog, forms, obstructions  # noqa: E402
+
+REPEATS = 5
+
+
+def median_ms(fn, arg) -> float:
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn(arg)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e3
+
+
+def replay_table(rows) -> None:
+    print(f"{'replay':20s} {'condition':18s} {'ms':>8s}")
+    total = 0.0
+    for row in rows:
+        ms = median_ms(obstructions.replay_obstruction_row, row)
+        total += ms
+        print(f"{row.family_id or row.algebra:20s} {row.condition:18s} {ms:8.2f}")
+    print(f"{f'all {len(rows)} rows':20s} {'':18s} {total:8.2f}")
+
+
+def verify_example_table(examples) -> None:
+    ms = [median_ms(catalog.verify_example, ex) for ex in examples]
+    print(f"{'verify_example':20s} {'examples':>8s} {'median ms':>9s} {'sum ms':>8s}")
+    print(f"{'stock':20s} {len(ms):8d} {statistics.median(ms):9.2f} {sum(ms):8.2f}")
+
+
+def monomial_table(rows, examples) -> None:
+    calls, seconds = {}, {}
+    inner = forms.Antiderivation._monomial
+
+    def timed(self, dim, key):
+        t0 = time.perf_counter()
+        out = inner(self, dim, key)
+        dt = time.perf_counter() - t0
+        calls[len(key)] = calls.get(len(key), 0) + 1
+        seconds[len(key)] = seconds.get(len(key), 0.0) + dt
+        return out
+
+    forms.Antiderivation._monomial = timed
+    try:
+        for row in rows:
+            obstructions.replay_obstruction_row(row)
+        for ex in examples:
+            catalog.verify_example(ex)
+    finally:
+        forms.Antiderivation._monomial = inner
+    print(f"{'_monomial degree':20s} {'calls':>8s} {'us/call':>8s}")
+    for degree in sorted(calls):
+        print(f"{degree:<20d} {calls[degree]:8d} {seconds[degree] / calls[degree] * 1e6:8.1f}")
+    n, s = sum(calls.values()), sum(seconds.values())
+    print(f"{'all':20s} {n:8d} {s / n * 1e6:8.1f}")
+
+
+def main() -> int:
+    rows = obstructions.obstruction_table()
+    examples = [ex for entry in catalog.list_entries() for ex in entry.examples]
+    replay_table(rows)
+    print()
+    verify_example_table(examples)
+    print()
+    monomial_table(rows, examples)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

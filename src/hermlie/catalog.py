@@ -669,12 +669,16 @@ def verify_entry(entry: CatalogEntry) -> dict:
     return report
 
 
-def verify_example(ex: ExampleStructure) -> dict:
-    """Check one golden example end to end with exact arithmetic."""
+def verify_example(ex: ExampleStructure, g: Optional[LieAlgebra] = None,
+                   J: Optional[list] = None) -> dict:
+    """Check one golden example end to end with exact arithmetic.  ``g`` and
+    ``J``, when given, are ``ex.algebra_instance()`` and ``ex.j()`` already
+    parsed."""
     from .herm import CHECKERS, is_positive_form, verify_twisted_certificate
 
     report = {"algebra": ex.algebra, "constraint": ex.constraint, "ok": True}
-    cx = is_integrable(ex.algebra_instance(), ex.j())
+    cx = is_integrable(ex.algebra_instance() if g is None else g,
+                       ex.j() if J is None else J)
     if cx is None:
         return {**report, "ok": False, "error": "J not integrable"}
     if not ex.omega:

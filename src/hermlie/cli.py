@@ -132,10 +132,11 @@ def _entry(name: str):
 # verify-catalog
 # ---------------------------------------------------------------------------
 
-def _example_from_json(row, where: str) -> ExampleStructure:
+def _example_from_json(row, where: str):
     """The example that a ``check`` input or a ``verify-catalog FILE`` row
-    describes.  ``equations`` may be left out when ``algebra`` names a catalog
-    entry.  Every expression is parsed here, so a malformed row raises
+    describes, with its parsed algebra and J: ``(example, g, J)``.
+    ``equations`` may be left out when ``algebra`` names a catalog entry.
+    Every expression is parsed here, so a malformed row raises
     ``_SchemaError`` with ``where`` in its message."""
     from .liealg import jacobi_holds, parse_scalar
 
@@ -157,9 +158,10 @@ def _example_from_json(row, where: str) -> ExampleStructure:
             omega=row.get("omega", ""),
             mu=row.get("mu"),
         )
-        if not jacobi_holds(ex.algebra_instance()):
+        g = ex.algebra_instance()
+        if not jacobi_holds(g):
             raise ValueError("the structure equations break the Jacobi identity (d^2 != 0)")
-        ex.j()
+        J = ex.j()
         ex.mu_form()
         if ex.omega:
             ex.omega_form()
@@ -168,7 +170,7 @@ def _example_from_json(row, where: str) -> ExampleStructure:
                 raise ValueError(f"unknown condition {cond!r}")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         raise _SchemaError(f"{where}: {err}") from None
-    return ex
+    return ex, g, J
 
 
 def _examples_from_file(path: str) -> list:
@@ -228,15 +230,15 @@ def cmd_verify_catalog(args):
         examples = _examples_from_file(args.file)
         entry_reports = []
     else:
-        examples = _stock_examples()
+        examples = [(ex, None, None) for ex in _stock_examples()]
         entry_reports = [verify_entry(e) for e in list_entries(include_controls=True)]
         for rep in entry_reports:
             ok = rep.get("ok", False)
             lines.append(f"entry {rep['name']}: {'ok' if ok else 'FAIL ' + str(rep)}")
             if not ok:
                 failures.append(f"entry {rep['name']}")
-    for ex in examples:
-        rep = verify_example(ex)
+    for ex, g, J in examples:
+        rep = verify_example(ex, g, J)
         ok = rep.get("ok", False)
         tag = f"example {ex.algebra} [{', '.join(ex.conditions) or 'complex only'}]"
         lines.append(f"{tag}: {'ok' if ok else 'FAIL ' + str(rep)}")
@@ -261,9 +263,7 @@ def cmd_check(args):
         raise _SchemaError(f"cannot read input file: {err}") from None
     if isinstance(data, dict) and "algebra" in data:
         _entry(data["algebra"])  # a check input names a catalog algebra, even with equations
-    ex = _example_from_json(data, "bad input schema")
-    g = ex.algebra_instance()
-    J = ex.j()
+    ex, g, J = _example_from_json(data, "bad input schema")
     om_real = ex.omega_form() if ex.omega else None
 
     report = {"algebra": ex.algebra, "J_squares_to_minus_id": squares_to_minus_id(J)}

@@ -257,8 +257,14 @@ class MonomialMap:
 
 
 class Antiderivation(MonomialMap):
-    """The degree-one antiderivation d with ``d f^i = d1[i - 1]``; d of a
-    monomial is expanded by the Leibniz rule."""
+    """The degree-one antiderivation d with ``d f^i = d1[i - 1]`` (2-forms).
+
+    d of a monomial ``f^K`` is expanded by the Leibniz rule into one
+    coefficient dict: ``d f^K = sum_t (-1)^t f^{K[:t]} ^ d f^{K[t]} ^
+    f^{K[t+1:]}``, and since ``d f^{K[t]}`` has even degree it commutes past
+    ``f^{K[t+1:]}``, so the term ``c f^J`` of ``d f^{K[t]}`` adds
+    ``(-1)^t * s * c`` at ``merged``, where ``(s, merged) =
+    merge_sign(K minus K[t], J)``."""
 
     shift = 1
 
@@ -267,12 +273,22 @@ class Antiderivation(MonomialMap):
         self.d1 = d1
 
     def _monomial(self, dim: int, key: tuple) -> Form:
-        out = Form.zero(dim, len(key) + 1)
+        coeffs: dict[tuple, object] = {}
         for t, i in enumerate(key):
-            term = Form.basis(dim, key[:t]).wedge(self.d1[i - 1]).wedge(
-                Form.basis(dim, key[t + 1:])
-            )
-            out = out - term if t % 2 else out + term
+            rest = key[:t] + key[t + 1:]
+            for j, c in self.d1[i - 1].coeffs.items():
+                sign, merged = merge_sign(rest, j)
+                if sign == 0:
+                    continue
+                term = -c if (sign == -1) != (t % 2 == 1) else c
+                s = coeffs.get(merged)
+                s = term if s is None else s + term
+                if s:
+                    coeffs[merged] = s
+                else:
+                    coeffs.pop(merged, None)
+        out = Form.zero(dim, len(key) + 1)
+        out.coeffs = coeffs
         return out
 
 

@@ -466,6 +466,22 @@ class _MetricResidual:
         return resid, off - u @ (u.T @ off + back / sv[:, None])
 
 
+#: Flat positions, row by row in the (10, 9) Jacobian of :func:`_p_from_raw`,
+#: of its 38 entries that are not identically zero.
+_JAC_NONZERO = np.array([
+    0,
+    10, 12, 13,
+    20, 23, 24, 25, 26,
+    28, 30, 31, 32, 33, 35,
+    37, 39, 40, 41, 42, 43,
+    45, 51,
+    54, 59,
+    63, 67,
+    72, 75,
+    81, 82, 83, 84, 85, 86, 87, 88, 89,
+])
+
+
 def _p_from_raw(raw: np.ndarray):
     """Metric coefficients ``p`` of ``H = L L^*`` at ``raw``, the trace row
     ``(l1 + l2 + l3 - 3) / 4`` that fixes the scale, and their ``(10, 9)``
@@ -483,19 +499,21 @@ def _p_from_raw(raw: np.ndarray):
     lams = (a * a, ur * ur + ui * ui + b * b, vr * vr + vi * vi + wr * wr + wi * wi + c * c)
     p = np.array([*lams, ur * vi - ui * vr + b * wi, ur * vr + ui * vi + b * wr,
                   a * vi, a * vr, a * ui, a * ur])
-    jac = np.array([
-        2 * a * da, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 2 * b * db, 0, 2 * ur, 2 * ui, 0, 0, 0, 0,
-        0, 0, 2 * c * dc, 0, 0, 2 * vr, 2 * vi, 2 * wr, 2 * wi,
-        0, wi * db, 0, vi, -vr, -ui, ur, 0, b,
-        0, wr * db, 0, vr, vi, ur, ui, b, 0,
-        vi * da, 0, 0, 0, 0, 0, a, 0, 0,
-        vr * da, 0, 0, 0, 0, a, 0, 0, 0,
-        ui * da, 0, 0, 0, a, 0, 0, 0, 0,
-        ur * da, 0, 0, a, 0, 0, 0, 0, 0,
+    jac = np.zeros(90)
+    jac[_JAC_NONZERO] = (
+        2 * a * da,
+        2 * b * db, 2 * ur, 2 * ui,
+        2 * c * dc, 2 * vr, 2 * vi, 2 * wr, 2 * wi,
+        wi * db, vi, -vr, -ui, ur, b,
+        wr * db, vr, vi, ur, ui, b,
+        vi * da, a,
+        vr * da, a,
+        ui * da, a,
+        ur * da, a,
         0.5 * a * da, 0.5 * b * db, 0.5 * c * dc, 0.5 * ur, 0.5 * ui,
         0.5 * vr, 0.5 * vi, 0.5 * wr, 0.5 * wi,
-    ]).reshape(10, 9)
+    )
+    jac = jac.reshape(10, 9)
     return p, 0.25 * (lams[0] + lams[1] + lams[2] - 3.0), jac
 
 

@@ -46,6 +46,17 @@ class TestVerifyCatalog:
         assert code == 0
         assert "0 failures" in out
 
+    def test_each_row_is_parsed_once(self, dumped_catalog, capsys, monkeypatch):
+        from hermlie import catalog
+
+        calls = []
+        parse = catalog.parse_structure_equations
+        monkeypatch.setattr(catalog, "parse_structure_equations",
+                            lambda *a, **k: calls.append(a) or parse(*a, **k))
+        code, _, _ = run(capsys, "verify-catalog", str(dumped_catalog))
+        assert code == 0
+        assert len(calls) == 55
+
     def test_mutated_example_fails(self, dumped_catalog, tmp_path, capsys):
         data = json.loads(dumped_catalog.read_text())
         victim = next(r for r in data["examples"] if r["algebra"] == "s6.25")

@@ -3,8 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from hermlie.forms import BasisChange, Form, all_index_tuples, merge_sign, sort_sign
-from hermlie.scalars import GR_ONE
+from hermlie.catalog import list_entries
+from hermlie.cpx import instantiate_family
+from hermlie.forms import (
+    Antiderivation,
+    BasisChange,
+    Form,
+    all_index_tuples,
+    merge_sign,
+    sort_sign,
+)
+from hermlie.scalars import GR_ONE, Poly, PolyRing
+from hermlie.search import entry_complexification
 
 
 def f(*indices):
@@ -81,3 +91,43 @@ class TestAlgebra:
         assert len(all_index_tuples(6, 2)) == 15
         assert len(all_index_tuples(6, 6)) == 1
         assert all_index_tuples(6, 0) == [()]
+
+
+def _leibniz_oracle(d1, dim: int, key: tuple) -> Form:
+    """d f^K as the sum over t of (-1)^t f^{K[:t]} ^ d f^{K[t]} ^ f^{K[t+1:]},
+    each term built from two basis monomials and two wedges."""
+    out = Form.zero(dim, len(key) + 1)
+    for t, i in enumerate(key):
+        term = Form.basis(dim, key[:t]).wedge(d1[i - 1]).wedge(Form.basis(dim, key[t + 1:]))
+        out = out - term if t % 2 else out + term
+    return out
+
+
+def _family_d1():
+    ring = PolyRing(complex_vars=["nu"])
+    return instantiate_family("N51-145", {"nu": ring.var("nu"), "c": 1}).d_alpha
+
+
+D1_CASES = {
+    **{f"real {e.name}": lambda e=e: e.algebra_instance().d1
+       for e in list_entries(include_controls=True)},
+    **{f"complex {e.name}": lambda e=e: entry_complexification(e).frame.d_alpha
+       for e in list_entries() if e.examples},
+    "complex N51-145 (Poly nu)": _family_d1,
+}
+
+
+class TestAntiderivation:
+    @pytest.mark.parametrize("case", sorted(D1_CASES))
+    def test_monomial_matches_leibniz_oracle(self, case):
+        d1 = D1_CASES[case]()
+        d = Antiderivation(d1)
+        for degree in range(6):
+            for key in all_index_tuples(6, degree):
+                image = d._monomial(6, key)
+                assert image == _leibniz_oracle(d1, 6, key), (case, key)
+                assert image.degree == degree + 1
+                assert not d(image), (case, key)  # d^2 = 0
+
+    def test_family_case_has_poly_coefficients(self):
+        assert any(isinstance(c, Poly) for form in _family_d1() for c in form.coeffs.values())
