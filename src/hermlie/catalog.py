@@ -72,6 +72,12 @@ class ExampleStructure:
             return None
         return parse_form(self.mu, self.params, degree=1)
 
+    def parse(self) -> tuple:
+        """Every expression of the example parsed once: ``(g, J, omega, mu)``,
+        with ``omega`` and ``mu`` None when the example has none."""
+        return (self.algebra_instance(), self.j(),
+                self.omega_form() if self.omega else None, self.mu_form())
+
 
 @dataclass
 class CatalogEntry:
@@ -669,22 +675,20 @@ def verify_entry(entry: CatalogEntry) -> dict:
     return report
 
 
-def verify_example(ex: ExampleStructure, g: Optional[LieAlgebra] = None,
-                   J: Optional[list] = None) -> dict:
-    """Check one golden example end to end with exact arithmetic.  ``g`` and
-    ``J``, when given, are ``ex.algebra_instance()`` and ``ex.j()`` already
-    parsed."""
+def verify_example(ex: ExampleStructure, parsed: Optional[tuple] = None) -> dict:
+    """Check one golden example end to end with exact arithmetic.  ``parsed``,
+    when given, is ``ex.parse()`` already computed."""
     from .herm import CHECKERS, is_positive_form, verify_twisted_certificate
 
+    g, J, omega, mu = ex.parse() if parsed is None else parsed
     report = {"algebra": ex.algebra, "constraint": ex.constraint, "ok": True}
-    cx = is_integrable(ex.algebra_instance() if g is None else g,
-                       ex.j() if J is None else J)
+    cx = is_integrable(g, J)
     if cx is None:
         return {**report, "ok": False, "error": "J not integrable"}
-    if not ex.omega:
+    if omega is None:
         report["conditions"] = {}
         return report
-    om = cx.to_alpha(ex.omega_form())
+    om = cx.to_alpha(omega)
     if not is_positive_form(om):
         return {**report, "ok": False, "error": "omega not positive"}
     results = {}
@@ -692,8 +696,8 @@ def verify_example(ex: ExampleStructure, g: Optional[LieAlgebra] = None,
         results[cond] = bool(CHECKERS[cond](cx, om))
     report["conditions"] = results
     report["ok"] = all(results.values())
-    if ex.mu is not None and "lcskt" in ex.conditions:
-        mu_ok = verify_twisted_certificate(cx, om, ex.mu_form())
+    if mu is not None and "lcskt" in ex.conditions:
+        mu_ok = verify_twisted_certificate(cx, om, mu)
         report["mu_certificate"] = mu_ok
         report["ok"] = report["ok"] and mu_ok
     return report

@@ -134,7 +134,7 @@ def _entry(name: str):
 
 def _example_from_json(row, where: str):
     """The example that a ``check`` input or a ``verify-catalog FILE`` row
-    describes, with its parsed algebra and J: ``(example, g, J)``.
+    describes, with its expressions parsed: ``(example, example.parse())``.
     ``equations`` may be left out when ``algebra`` names a catalog entry.
     Every expression is parsed here, so a malformed row raises
     ``_SchemaError`` with ``where`` in its message."""
@@ -158,19 +158,15 @@ def _example_from_json(row, where: str):
             omega=row.get("omega", ""),
             mu=row.get("mu"),
         )
-        g = ex.algebra_instance()
-        if not jacobi_holds(g):
+        parsed = ex.parse()
+        if not jacobi_holds(parsed[0]):
             raise ValueError("the structure equations break the Jacobi identity (d^2 != 0)")
-        J = ex.j()
-        ex.mu_form()
-        if ex.omega:
-            ex.omega_form()
         for cond in ex.conditions:
             if cond not in CHECKERS:
                 raise ValueError(f"unknown condition {cond!r}")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         raise _SchemaError(f"{where}: {err}") from None
-    return ex, g, J
+    return ex, parsed
 
 
 def _examples_from_file(path: str) -> list:
@@ -230,15 +226,15 @@ def cmd_verify_catalog(args):
         examples = _examples_from_file(args.file)
         entry_reports = []
     else:
-        examples = [(ex, None, None) for ex in _stock_examples()]
+        examples = [(ex, None) for ex in _stock_examples()]
         entry_reports = [verify_entry(e) for e in list_entries(include_controls=True)]
         for rep in entry_reports:
             ok = rep.get("ok", False)
             lines.append(f"entry {rep['name']}: {'ok' if ok else 'FAIL ' + str(rep)}")
             if not ok:
                 failures.append(f"entry {rep['name']}")
-    for ex, g, J in examples:
-        rep = verify_example(ex, g, J)
+    for ex, parsed in examples:
+        rep = verify_example(ex, parsed)
         ok = rep.get("ok", False)
         tag = f"example {ex.algebra} [{', '.join(ex.conditions) or 'complex only'}]"
         lines.append(f"{tag}: {'ok' if ok else 'FAIL ' + str(rep)}")
@@ -263,8 +259,7 @@ def cmd_check(args):
         raise _SchemaError(f"cannot read input file: {err}") from None
     if isinstance(data, dict) and "algebra" in data:
         _entry(data["algebra"])  # a check input names a catalog algebra, even with equations
-    ex, g, J = _example_from_json(data, "bad input schema")
-    om_real = ex.omega_form() if ex.omega else None
+    ex, (g, J, om_real, _) = _example_from_json(data, "bad input schema")
 
     report = {"algebra": ex.algebra, "J_squares_to_minus_id": squares_to_minus_id(J)}
     cx = is_integrable(g, J)

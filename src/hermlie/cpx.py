@@ -124,10 +124,7 @@ def is_integrable(g: LieAlgebra, J: Sequence[Sequence]) -> Optional["Complexific
     nj = nijenhuis(g, J)
     vanishes = all(not any(v) for v in nj.values())
     cx = Complexification.from_real(g, J, check=False)
-    no02 = all(
-        not cx.frame.bigrade(cx.frame.d_alpha[k]).get((0, 2))
-        for k in range(HOLO)
-    )
+    no02 = all(not cx.frame.project(cx.frame.d_alpha[k], 0, 2) for k in range(HOLO))
     if vanishes != no02:
         raise AssertionError("integrability cross-check failed")
     if not vanishes:
@@ -160,9 +157,7 @@ def conj_alpha(form: Form) -> Form:
         mapped = tuple((i + HOLO) if i <= HOLO else (i - HOLO) for i in key)
         sign, sorted_key = sort_sign(mapped)
         out[sorted_key] = conj_scalar(c) if sign == 1 else -conj_scalar(c)
-    res = Form.zero(form.dim, form.degree)
-    res.coeffs = out
-    return res
+    return Form._of(form.dim, form.degree, out)
 
 
 def monomial_type(key: tuple) -> tuple[int, int]:
@@ -187,18 +182,10 @@ class ComplexFrame:
         return self._d(form)
 
     @staticmethod
-    def bigrade(form: Form) -> dict:
-        out: dict[tuple, Form] = {}
-        for key, c in form.coeffs.items():
-            pq = monomial_type(key)
-            if pq not in out:
-                out[pq] = Form.zero(form.dim, form.degree)
-            out[pq].coeffs[key] = c
-        return out
-
-    @staticmethod
     def project(form: Form, p: int, q: int) -> Form:
-        return ComplexFrame.bigrade(form).get((p, q), Form.zero(form.dim, form.degree))
+        """The (p, q) part of ``form``: its monomials of that type."""
+        return Form._of(form.dim, form.degree, {
+            key: c for key, c in form.coeffs.items() if monomial_type(key) == (p, q)})
 
     def del_(self, form: Form) -> Form:
         """(p+1, q) part of d of a pure-type form."""
@@ -219,7 +206,7 @@ class ComplexFrame:
     def integrable(self) -> bool:
         """No (0,2) component in d alpha^k, and d^2 = 0."""
         for k in range(HOLO):
-            if self.bigrade(self.d_alpha[k]).get((0, 2)):
+            if self.project(self.d_alpha[k], 0, 2):
                 return False
             if self.d(self.d_alpha[k]):
                 return False

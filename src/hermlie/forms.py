@@ -4,7 +4,9 @@ A :class:`Form` is a homogeneous element of the exterior algebra over a
 coframe ``f^1, ..., f^dim``: a dict mapping strictly increasing index tuples
 to exact coefficients, :class:`~hermlie.scalars.GaussianRational` (ints and
 Fractions mix in) or :class:`~hermlie.scalars.Poly` for symbolic families.
-Zero coefficients are dropped eagerly, so ``bool(form)`` is "is nonzero".
+The dict never holds a zero, so ``bool(form)`` is "is nonzero": every sum
+of coefficients goes through :func:`~hermlie.scalars.add_term`, and
+:meth:`Form._of` wraps a dict built that way without checking it again.
 
 A :class:`MonomialMap` is a linear map of forms fixed by the image of each
 basis monomial, computed once and cached: :class:`Antiderivation` is d, and
@@ -16,6 +18,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from itertools import combinations
 from typing import Sequence
+
+from .scalars import add_term
 
 
 def merge_sign(a: tuple, b: tuple):
@@ -75,18 +79,22 @@ class Form:
                 raise ValueError(f"index tuple {idx} has wrong degree (expected {degree})")
             if key and (key[0] < 1 or key[-1] > dim):
                 raise ValueError(f"index out of range in {idx} (dim={dim})")
-            cur = self.coeffs.get(key)
-            val = sign * c if sign == -1 else c
-            val = cur + val if cur is not None else val
-            if val:
-                self.coeffs[key] = val
-            else:
-                self.coeffs.pop(key, None)
+            add_term(self.coeffs, key, -c if sign == -1 else c)
 
     # -- constructors --------------------------------------------------
     @classmethod
+    def _of(cls, dim: int, degree: int, coeffs: dict) -> "Form":
+        """Wrap ``coeffs`` unchecked: its keys must be sorted, in range and of
+        length ``degree``, and it must hold no zero."""
+        out = object.__new__(cls)
+        out.dim = dim
+        out.degree = degree
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def zero(cls, dim: int, degree: int) -> "Form":
-        return cls(dim, degree, {})
+        return cls._of(dim, degree, {})
 
     @classmethod
     def basis(cls, dim: int, indices: Sequence[int], coeff=1) -> "Form":
@@ -127,20 +135,11 @@ class Form:
         self._check_compatible(other)
         coeffs = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            s = coeffs.get(k)
-            s = c if s is None else s + c
-            if s:
-                coeffs[k] = s
-            else:
-                coeffs.pop(k, None)
-        out = Form.zero(self.dim, self.degree)
-        out.coeffs = coeffs
-        return out
+            add_term(coeffs, k, c)
+        return Form._of(self.dim, self.degree, coeffs)
 
     def __neg__(self) -> "Form":
-        out = Form.zero(self.dim, self.degree)
-        out.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return out
+        return Form._of(self.dim, self.degree, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self.__add__(-other)
@@ -148,11 +147,10 @@ class Form:
     def __mul__(self, scalar) -> "Form":
         if isinstance(scalar, Form):
             raise TypeError("use wedge() for products of forms")
-        out = Form.zero(self.dim, self.degree)
         if not scalar:
-            return out
-        out.coeffs = {k: v for k, c in self.coeffs.items() if (v := c * scalar)}
-        return out
+            return Form.zero(self.dim, self.degree)
+        return Form._of(self.dim, self.degree,
+                        {k: v for k, c in self.coeffs.items() if (v := c * scalar)})
 
     __rmul__ = __mul__
 
@@ -160,7 +158,6 @@ class Form:
     def wedge(self, other: "Form") -> "Form":
         if self.dim != other.dim:
             raise ValueError("forms over different coframes")
-        out = Form.zero(self.dim, self.degree + other.degree)
         coeffs: dict[tuple, object] = {}
         for ka, ca in self.coeffs.items():
             for kb, cb in other.coeffs.items():
@@ -168,22 +165,13 @@ class Form:
                 if sign == 0:
                     continue
                 term = ca * cb
-                if sign == -1:
-                    term = -term
-                s = coeffs.get(key)
-                s = term if s is None else s + term
-                if s:
-                    coeffs[key] = s
-                else:
-                    coeffs.pop(key, None)
-        out.coeffs = coeffs
-        return out
+                add_term(coeffs, key, -term if sign == -1 else term)
+        return Form._of(self.dim, self.degree + other.degree, coeffs)
 
     def contract(self, vector: Sequence) -> "Form":
         """Interior product with a vector given by components in f_1..f_dim."""
         if self.degree == 0:
             raise ValueError("cannot contract a 0-form")
-        out = Form.zero(self.dim, self.degree - 1)
         coeffs: dict[tuple, object] = {}
         for key, c in self.coeffs.items():
             for t, idx in enumerate(key):
@@ -191,17 +179,8 @@ class Form:
                 if not v:
                     continue
                 term = c * v
-                if t % 2:
-                    term = -term
-                sub = key[:t] + key[t + 1:]
-                s = coeffs.get(sub)
-                s = term if s is None else s + term
-                if s:
-                    coeffs[sub] = s
-                else:
-                    coeffs.pop(sub, None)
-        out.coeffs = coeffs
-        return out
+                add_term(coeffs, key[:t] + key[t + 1:], -term if t % 2 else term)
+        return Form._of(self.dim, self.degree - 1, coeffs)
 
     def evaluate(self, *vectors: Sequence):
         """Evaluate on ``degree`` many vectors."""
@@ -244,16 +223,8 @@ class MonomialMap:
             if image is None:
                 image = self._images[key] = self._monomial(form.dim, key)
             for k, x in image.coeffs.items():
-                term = x * c
-                s = coeffs.get(k)
-                s = term if s is None else s + term
-                if s:
-                    coeffs[k] = s
-                else:
-                    coeffs.pop(k, None)
-        out = Form.zero(form.dim, form.degree + self.shift)
-        out.coeffs = coeffs
-        return out
+                add_term(coeffs, k, x * c)
+        return Form._of(form.dim, form.degree + self.shift, coeffs)
 
 
 class Antiderivation(MonomialMap):
@@ -280,16 +251,8 @@ class Antiderivation(MonomialMap):
                 sign, merged = merge_sign(rest, j)
                 if sign == 0:
                     continue
-                term = -c if (sign == -1) != (t % 2 == 1) else c
-                s = coeffs.get(merged)
-                s = term if s is None else s + term
-                if s:
-                    coeffs[merged] = s
-                else:
-                    coeffs.pop(merged, None)
-        out = Form.zero(dim, len(key) + 1)
-        out.coeffs = coeffs
-        return out
+                add_term(coeffs, merged, -c if (sign == -1) != (t % 2 == 1) else c)
+        return Form._of(dim, len(key) + 1, coeffs)
 
 
 class BasisChange(MonomialMap):

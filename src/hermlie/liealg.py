@@ -134,6 +134,10 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+#: the most bits a power in parsed text may need (the stock texts only square)
+_MAX_POWER_BITS = 4096
+
+
 class _Parser:
     """Recursive-descent parser for one structure-equation entry."""
 
@@ -216,7 +220,15 @@ class _Parser:
             k2, v2 = self.take()
             if k2 != "num":
                 raise ValueError("exponent must be an integer")
-            out = out ** int(v2)
+            n = int(v2)
+            # out = (a + b i)/d: the parts of out ** n are at most |a + b i|^n
+            # and d^n, so this bounds twice the bits they need from above
+            a, b, d = out._a, out._b, out._d
+            bits2 = max((a * a + b * b - 1).bit_length(), 2 * (d - 1).bit_length())
+            if out and n * bits2 > 2 * _MAX_POWER_BITS:
+                raise ValueError(f"power too large: ^{v2} could need more "
+                                 f"than {_MAX_POWER_BITS} bits")
+            out = out ** n
         return out
 
     def parse_sum(self) -> GaussianRational:

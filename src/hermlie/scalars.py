@@ -14,6 +14,11 @@ Two exact coefficient rings:
   which case a partner variable holding the conjugate is created
   automatically.
 
+Both store exact coefficients in sparse dicts that never hold a zero: a
+:class:`Poly`'s terms and a :class:`~hermlie.forms.Form`'s coefficients.
+:func:`add_term` is the one place that adds into such a dict and drops a
+zero sum.
+
 Mixed arithmetic coerces upward: ``int``/``Fraction`` -> ``GaussianRational``
 -> ``Poly``.  A Python float or complex never mixes with them: the operation
 raises ``TypeError``, so an exact value cannot silently become a float.  The
@@ -64,6 +69,18 @@ def _reduced(a: int, b: int, d: int) -> "GaussianRational":
     x._b = b
     x._d = d
     return x
+
+
+def add_term(coeffs: dict, key, term) -> None:
+    """Add ``term`` at ``key`` of the sparse ``coeffs``; drop the key if the
+    sum is zero, so ``coeffs`` never holds a zero."""
+    s = coeffs.get(key)
+    if s is not None:
+        term = s + term
+    if term:
+        coeffs[key] = term
+    else:
+        coeffs.pop(key, None)
 
 
 def _power(base, n: int, one):
@@ -303,7 +320,8 @@ class Poly:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict[Monomial, GaussianRational]):
-        # every constructor drops zero coefficients, so ``terms`` holds none
+        # ``terms`` holds no zero: sums go through add_term, and the other
+        # operations send nonzero coefficients to nonzero ones
         self.ring = ring
         self.terms = terms
 
@@ -335,11 +353,7 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in o.terms.items():
-            s = terms.get(m, GR_ZERO) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
+            add_term(terms, m, c)
         return Poly(self.ring, terms)
 
     __radd__ = __add__
@@ -363,12 +377,7 @@ class Poly:
         terms: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
-                m = _mono_mul(m1, m2)
-                s = terms.get(m, GR_ZERO) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
+                add_term(terms, _mono_mul(m1, m2), c1 * c2)
         return Poly(self.ring, terms)
 
     __rmul__ = __mul__
@@ -392,7 +401,7 @@ class Poly:
         idx_values: dict[int, Poly] = {}
         for name, v in values.items():
             idx_values[self.ring._index[name]] = self.ring.coerce(v)
-        out = self.ring.zero()
+        terms: dict = {}
         for m, c in self.terms.items():
             term = self.ring.constant(c)
             for idx, e in m:
@@ -400,8 +409,9 @@ class Poly:
                     term = term * idx_values[idx] ** e
                 else:
                     term = term * Poly(self.ring, {((idx, e),): GR_ONE})
-            out = out + term
-        return out
+            for k, x in term.terms.items():
+                add_term(terms, k, x)
+        return Poly(self.ring, terms)
 
     def evaluate(self, values: Mapping[str, object]) -> GaussianRational:
         """Fully evaluate; ``values`` must cover every variable that occurs."""

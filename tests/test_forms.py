@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hermlie.catalog import list_entries
-from hermlie.cpx import instantiate_family
+from hermlie.cpx import ComplexFrame, instantiate_family
 from hermlie.forms import (
     Antiderivation,
     BasisChange,
@@ -61,9 +61,26 @@ class TestAlgebra:
         assert two_form.wedge(two_form) == 2 * f(1, 2, 3, 4)
 
     def test_zero_coefficients_dropped(self):
-        w = f(1, 2) - f(1, 2)
-        assert not w
-        assert w.coeffs == {}
+        # each input cancels inside one path that adds coefficients, which
+        # must drop the zero sum rather than store it
+        d = Antiderivation([f(1, 3), -f(2, 3), f(5, 6), -f(5, 6), f(1, 2), f(1, 2)])
+        cancelling = [
+            f(1, 2) - f(1, 2),
+            f(1, 2) + -f(1, 2),
+            Form(6, 2, {(2, 1): 3, (1, 2): 3}),                    # repeated unsorted keys
+            (f(1) + f(2)).wedge(f(1) + f(2)),                      # f12 + f21
+            (f(1, 2) + f(1, 3)).contract([0, 1, -1, 0, 0, 0]),     # -f1 + f1
+            d(f(1, 2)),                                            # inside d of one monomial
+            d(f(3) + f(4)),                                        # across two images
+            d(f(5) - f(6)),
+            BasisChange({1: f(1) + f(2), 2: f(1) + f(2)})(f(1, 2)),  # in the image's wedge
+            BasisChange({3: f(1)})(f(1) - f(3)),                   # across two images
+            ComplexFrame.project(f(1, 4) + f(1, 2), 1, 1) - f(1, 4),
+            ComplexFrame.project(f(1, 2) + f(4, 5), 1, 1),
+        ]
+        for w in cancelling:
+            assert not w
+            assert w.coeffs == {}, w
 
     def test_contract_oracle(self):
         e1 = [1, 0, 0, 0, 0, 0]

@@ -1,6 +1,8 @@
 """Every top-level import of a package module, a test or a script is used
-in that file."""
+in that file, and ``import hermlie`` loads no more than it promises."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,13 @@ def test_the_scan_sees_an_unused_import():
     ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_import_does_not_load_scipy():
+    # only the lattice probe needs scipy; a fresh interpreter shows what
+    # ``import hermlie`` alone loads
+    src = str(Path(hermlie.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import hermlie; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -313,16 +313,21 @@ class TestPolyRing:
         # or equal polynomials would compare unequal
         r = self.ring()
         x, z = r.var("x"), r.var("z")
+        y = r.var("y")
         polys = [
             (x + z) * (x - z) - x * x + z * z,
             (x + GR_I * z) * (x - GR_I * z) - x * x - z * z,
             -(x - x),
+            x + -x,
+            (x + y) * (x - y) - (x * x - y * y),
             (z + z.conj()).conj() - z - r.var("z~"),
             (x * z + 3).substitute({"x": 0}) - 3,
+            (x * x - 1).substitute({"x": 1}),
+            (x * z + y * z).substitute({"x": -y}),
             r.constant(GR_ZERO) + r.zero() * x,
             (x - 1) ** 2 - x * x + 2 * x,
         ]
         for p in polys:
             assert all(p.terms.values()), p
-        assert polys[:-1] == [r.zero()] * 6
+        assert polys[:-1] == [r.zero()] * 10
         assert polys[-1] == r.one()
