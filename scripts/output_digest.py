@@ -8,6 +8,9 @@ Digests, one line each:
   catalog algebra and every condition it has obstruction rows for, manifest
   removed;
 * ``report-table``: ``hermlie --seed 0 report-table --csv``;
+* ``report-table-json``: ``hermlie --seed 0 --json report-table``, manifest
+  removed, so that the cell details, the mismatches and the negative controls
+  are pinned as well as the statuses;
 * ``check_all``: the verdict, certificate and notes of every ``herm.check_all``
   checker on every golden example with an omega, and on every
   ``perfbench.workloads.pool_metric`` metric over each algebra's stored
@@ -212,6 +215,7 @@ def main() -> int:
     print(f"obstruction    {_sha(_obstructions())}")
     code, csv = _run(["--seed", "0", "report-table", "--csv"])
     print(f"report-table   {_sha([code, csv])}")
+    print(f"report-table-json {_sha(_json_without_manifest(['--seed', '0', 'report-table']))}")
     print(f"check_all      {_sha(_check_all())}")
     print(f"search         {_sha(_search_verdicts())}")
     print(f"lattice        {_sha(_lattice())}")

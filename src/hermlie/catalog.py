@@ -20,13 +20,18 @@ from typing import Optional
 
 from .cpx import is_integrable, j_from_images
 from .forms import Form
+from .herm import CHECKERS, is_positive_form, verify_twisted_certificate
 from .liealg import (
     LieAlgebra,
+    _strongly_unimodular_on,
+    is_solvable,
     jacobi_holds,
     parse_form,
     parse_scalar,
     parse_structure_equations,
+    verify_nilradical,
 )
+from .scalars import GR_ONE, GR_ZERO
 
 F = Fraction
 
@@ -650,9 +655,6 @@ def get_entry(name: str) -> CatalogEntry:
 def verify_entry(entry: CatalogEntry) -> dict:
     """Structural integrity of one entry: Jacobi for every presentation,
     solvable, non-nilpotent, strongly unimodular, certified nilradical."""
-    from .liealg import _strongly_unimodular_on, is_solvable, verify_nilradical
-    from .scalars import GR_ONE, GR_ZERO
-
     report = {"name": entry.name}
     presentations = {"primary": None, **{k: k for k in entry.variants}}
     nil_basis = [[GR_ONE if t == i else GR_ZERO for t in range(6)] for i in range(5)]
@@ -678,19 +680,24 @@ def verify_entry(entry: CatalogEntry) -> dict:
 def verify_example(ex: ExampleStructure, parsed: Optional[tuple] = None) -> dict:
     """Check one golden example end to end with exact arithmetic.  ``parsed``,
     when given, is ``ex.parse()`` already computed."""
-    from .herm import CHECKERS, is_positive_form, verify_twisted_certificate
+    return verified_example(ex, parsed)[0]
 
+
+def verified_example(ex: ExampleStructure, parsed: Optional[tuple] = None) -> tuple:
+    """``(report, cx, om)``: the :func:`verify_example` report, the verified
+    complexification (None if J is not integrable) and omega in its complex
+    coframe (None if there is no omega or no cx), so a caller builds neither."""
     g, J, omega, mu = ex.parse() if parsed is None else parsed
     report = {"algebra": ex.algebra, "constraint": ex.constraint, "ok": True}
     cx = is_integrable(g, J)
     if cx is None:
-        return {**report, "ok": False, "error": "J not integrable"}
+        return {**report, "ok": False, "error": "J not integrable"}, None, None
     if omega is None:
         report["conditions"] = {}
-        return report
+        return report, cx, None
     om = cx.to_alpha(omega)
     if not is_positive_form(om):
-        return {**report, "ok": False, "error": "omega not positive"}
+        return {**report, "ok": False, "error": "omega not positive"}, cx, om
     results = {}
     for cond in ex.conditions:
         results[cond] = bool(CHECKERS[cond](cx, om))
@@ -700,4 +707,4 @@ def verify_example(ex: ExampleStructure, parsed: Optional[tuple] = None) -> dict
         mu_ok = verify_twisted_certificate(cx, om, mu)
         report["mu_certificate"] = mu_ok
         report["ok"] = report["ok"] and mu_ok
-    return report
+    return report, cx, om

@@ -25,7 +25,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .herm import CHECKERS
+from .cpx import is_integrable, nijenhuis, squares_to_minus_id
+from .herm import CHECKERS, is_positive_form
+from .liealg import jacobi_holds, parse_scalar
 from .catalog import (
     CATALOG_VERSION,
     ExampleStructure,
@@ -34,7 +36,10 @@ from .catalog import (
     verify_entry,
     verify_example,
 )
-from .search import _default_seed
+from .obstructions import obstruction_table, replay_obstruction_row
+from .search import (SearchConfig, _default_seed, classification_sweep, entry_complexification,
+                     find_complex_structure, find_metric)
+from .lattice import BUILTIN_PROBES, builtin_probe, run_probe
 
 _STATUS_SYMBOL = {
     "verified-example": "V",
@@ -108,8 +113,6 @@ def _seed(args) -> int:
 
 def _search_config(args, **defaults):
     """``SearchConfig`` from the command's options; bad values exit 2."""
-    from .search import SearchConfig
-
     kw = {"seed": _seed(args), **defaults}
     for name in ("restarts", "tol", "max_iters"):
         if getattr(args, name, None) is not None:
@@ -138,8 +141,6 @@ def _example_from_json(row, where: str):
     ``equations`` may be left out when ``algebra`` names a catalog entry.
     Every expression is parsed here, so a malformed row raises
     ``_SchemaError`` with ``where`` in its message."""
-    from .liealg import jacobi_holds, parse_scalar
-
     try:
         if not isinstance(row, dict):
             raise TypeError("expected a JSON object")
@@ -249,9 +250,6 @@ def cmd_verify_catalog(args):
 # ---------------------------------------------------------------------------
 
 def cmd_check(args):
-    from .cpx import is_integrable, nijenhuis, squares_to_minus_id
-    from .herm import is_positive_form
-
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -298,8 +296,6 @@ def cmd_check(args):
 # ---------------------------------------------------------------------------
 
 def cmd_search(args):
-    from .search import find_complex_structure, find_metric, entry_complexification
-
     entry = _entry(args.algebra)
     cfg = _search_config(args)
     if args.condition in (None, "complex"):
@@ -347,8 +343,6 @@ def cmd_search(args):
 # ---------------------------------------------------------------------------
 
 def cmd_obstruction(args):
-    from .obstructions import obstruction_table, replay_obstruction_row
-
     _entry(args.algebra)
     if args.condition not in CHECKERS and args.condition != "complex":
         raise _SchemaError(f"unknown condition {args.condition!r}; choose from "
@@ -373,8 +367,6 @@ def cmd_obstruction(args):
 # ---------------------------------------------------------------------------
 
 def cmd_lattice_probe(args):
-    from .lattice import BUILTIN_PROBES, builtin_probe, run_probe
-
     if (args.X is None) != (args.t is None):
         raise _SchemaError("give both --X and --t, or neither for a built-in probe")
     if not 0 < args.tol < float("inf"):  # also rejects NaN
@@ -407,8 +399,6 @@ def cmd_lattice_probe(args):
 # ---------------------------------------------------------------------------
 
 def cmd_report_table(args):
-    from .search import classification_sweep
-
     result = classification_sweep(cfg=_search_config(args, restarts=8, max_iters=40))
     conds = result["conditions"]
     short = {"kahler": "Kah", "skt": "SKT", "balanced": "Bal", "lck": "LCK",

@@ -123,7 +123,7 @@ def is_integrable(g: LieAlgebra, J: Sequence[Sequence]) -> Optional["Complexific
         return None
     nj = nijenhuis(g, J)
     vanishes = all(not any(v) for v in nj.values())
-    cx = Complexification.from_real(g, J, check=False)
+    cx = Complexification(g, J, coframe_from_J(g, J))
     no02 = all(not cx.frame.project(cx.frame.d_alpha[k], 0, 2) for k in range(HOLO))
     if vanishes != no02:
         raise AssertionError("integrability cross-check failed")
@@ -227,7 +227,7 @@ class Complexification:
     image of every monomial it has mapped.
     """
 
-    def __init__(self, g: LieAlgebra, J, alphas: Sequence[Form], check: bool = True):
+    def __init__(self, g: LieAlgebra, J, alphas: Sequence[Form]):
         self.g = g
         self.J = J
         self.alphas = list(alphas)
@@ -245,8 +245,6 @@ class Complexification:
         self._lee = None  # (omega, theta) of the last herm.lee_form call
         d10 = [self.to_alpha(ce_differential(g, a)) for a in self.alphas]
         self.frame = ComplexFrame(d10)
-        if check and not self.frame.integrable():
-            raise ValueError("J is not integrable")
 
     def to_alpha(self, form: Form) -> Form:
         return self._to_alpha(form)
@@ -255,8 +253,12 @@ class Complexification:
         return self._to_real(form)
 
     @classmethod
-    def from_real(cls, g: LieAlgebra, J, check: bool = True) -> "Complexification":
-        return cls(g, J, coframe_from_J(g, J), check=check)
+    def from_real(cls, g: LieAlgebra, J) -> "Complexification":
+        """The complexification of (g, J); ValueError unless it is integrable."""
+        cx = cls(g, J, coframe_from_J(g, J))
+        if not cx.frame.integrable():
+            raise ValueError("J is not integrable")
+        return cx
 
 
 def standard_j(dim: int = 6) -> list:

@@ -27,6 +27,7 @@ import numpy as np
 from . import linalg
 from .scalars import GaussianRational
 from .liealg import LieAlgebra, find_nilradical, parse_form, parse_scalar
+from .catalog import get_entry
 
 __all__ = [
     "parse_time",
@@ -151,8 +152,6 @@ def builtin_probe(name: str) -> dict:
             "status": "inconclusive",
             "note": "lattice existence deliberately left open for this algebra",
         }
-    from .catalog import get_entry
-
     x_text, t_text, presentation = spec
     g = get_entry(name).algebra_instance(presentation=presentation)
     return run_probe(g, x_text, t_text, name=name)

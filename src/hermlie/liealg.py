@@ -136,6 +136,9 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 #: the most bits a power in parsed text may need (the stock texts only square)
 _MAX_POWER_BITS = 4096
+#: the deepest parentheses parsed text may nest (the stock texts nest 3 deep);
+#: each level costs the recursive-descent parser three stack frames
+_MAX_NESTING = 100
 
 
 class _Parser:
@@ -146,6 +149,7 @@ class _Parser:
         self.pos = 0
         self.params = params
         self.degree = degree
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -211,8 +215,12 @@ class _Parser:
                 raise ValueError(f"unbound parameter {val!r}")
             out = GaussianRational.coerce(self.params[val])
         elif val == "(":
+            if self.depth == _MAX_NESTING:
+                raise ValueError(f"parentheses nested more than {_MAX_NESTING} deep")
+            self.depth += 1
             out = self.parse_sum()
             self.expect(")")
+            self.depth -= 1
         else:
             raise ValueError(f"unexpected token {val!r}")
         while self.peek()[1] == "^":

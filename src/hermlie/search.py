@@ -41,6 +41,7 @@ import numpy as np
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, _reduced
 from .forms import Form, all_index_tuples
 from .liealg import LieAlgebra
+from .catalog import CONDITIONS, list_entries, negative_controls, verified_example
 from .cpx import (
     Complexification,
     nijenhuis,
@@ -57,6 +58,7 @@ from .herm import (
     tamed_columns,
     torsion_H,
 )
+from .obstructions import obstruction_table, replay_obstruction_row, rules_out
 
 __all__ = [
     "SearchConfig",
@@ -596,10 +598,7 @@ _IMPLIES = {
     "lck": ("lcb",),
 }
 
-_GRID_CONDITIONS = (
-    "kahler", "skt", "balanced", "lck", "lcskt", "lcb",
-    "first_gauduchon", "strongly_gauduchon",
-)
+_GRID_CONDITIONS = CONDITIONS + ("strongly_gauduchon",)
 
 
 def _absence_covered(condition: str, ruled_out: set) -> bool:
@@ -609,15 +608,8 @@ def _absence_covered(condition: str, ruled_out: set) -> bool:
 
 def entry_complexification(entry) -> Complexification:
     """An exact complex structure on a catalog entry, from its first example."""
-    return _example_structure(entry.examples[0], {})
-
-
-def _example_structure(ex, structures: dict) -> Complexification:
-    """The complex structure of a stored example; ``structures`` maps
-    ``id(example)`` to it, so that each one is built once."""
-    if id(ex) not in structures:
-        structures[id(ex)] = Complexification.from_real(ex.algebra_instance(), ex.j())
-    return structures[id(ex)]
+    ex = entry.examples[0]
+    return Complexification.from_real(ex.algebra_instance(), ex.j())
 
 
 #: Conditions no entry claims, read from the claim of one that implies them (a
@@ -626,30 +618,27 @@ def _example_structure(ex, structures: dict) -> Complexification:
 _CLAIM_SOURCE = {"strongly_gauduchon": "balanced", "tamed": "kahler"}
 
 
-def _existence_cell(entry, condition: str, reports: dict, structures: dict):
-    """The cell of a claimed condition, from the first stored example with it.
+def _verified(ex, memo: dict) -> tuple:
+    """``catalog.verified_example(ex)``; ``memo`` maps ``id(example)`` to it,
+    so that each example is verified, and its structure built, once."""
+    if id(ex) not in memo:
+        memo[id(ex)] = verified_example(ex)
+    return memo[id(ex)]
 
-    ``reports`` maps ``id(example)`` to its ``verify_example`` report, so that
-    each example is verified once however many conditions it claims.
-    """
-    from .catalog import verify_example
 
+def _existence_cell(entry, condition: str, memo: dict):
+    """The cell of a claimed condition, from the first stored example with it."""
     source = _CLAIM_SOURCE.get(condition, condition)
     for ex in entry.examples:
         if source not in ex.conditions:
             continue
-        if id(ex) not in reports:
-            reports[id(ex)] = verify_example(ex)
-        report = reports[id(ex)]
+        report, cx, om = _verified(ex, memo)
         if not report.get("ok"):
             return {"status": "mismatch",
                     "detail": f"stored example failed verification: {report}"}
-        if source != condition:
-            cx = _example_structure(ex, structures)
-            om = cx.to_alpha(ex.omega_form())
-            if not CHECKERS[condition](cx, om):
-                return {"status": "mismatch",
-                        "detail": f"{source} witness failed the exact check"}
+        if source != condition and not CHECKERS[condition](cx, om):
+            return {"status": "mismatch",
+                    "detail": f"{source} witness failed the exact check"}
         return {"status": "verified-example", "detail": f"omega = {ex.omega}"}
     return {"status": "mismatch", "detail": "claimed existence has no stored example"}
 
@@ -657,37 +646,34 @@ def _existence_cell(entry, condition: str, reports: dict, structures: dict):
 def classification_sweep(conditions: Optional[Sequence[str]] = None,
                          cfg: Optional[SearchConfig] = None) -> dict:
     """Existence grid over the catalog: witnesses, obstructions, evidence."""
-    from .catalog import list_entries, negative_controls
-    from .obstructions import obstruction_table, replay_obstruction_row, rules_out
-
     conds = tuple(conditions) if conditions else _GRID_CONDITIONS
     cfg = cfg or SearchConfig(restarts=8, max_iters=40)
+    # every obstruction row replayed once; each algebra it names reads its report
+    replays = {}
+    for row in obstruction_table():
+        report = replay_obstruction_row(row)
+        for name in row.algebra.split("|"):
+            replays.setdefault(name, []).append((row, report))
     rows = []
     mismatches = []
     for entry in list_entries():
-        # per stored example of this entry: a claimed condition reuses the
-        # verification and the complex structure of an example already seen
-        reports, structures = {}, {}
+        memo = {}
         ruled_out = set()
-        for row in obstruction_table(algebra=entry.name):
-            report = replay_obstruction_row(row)
+        for row, report in replays.get(entry.name, ()):
             if report["ok"]:
                 ruled_out |= rules_out(row)
             else:
                 mismatches.append(f"{entry.name}/{row.condition}: obstruction row "
                                   f"failed to replay: {report['detail']}")
-        cx = None
         cells = {}
         for cond in conds:
             if entry.claims.get(_CLAIM_SOURCE.get(cond, cond), "never") != "never":
-                cell = _existence_cell(entry, cond, reports, structures)
+                cell = _existence_cell(entry, cond, memo)
             elif _absence_covered(cond, ruled_out):
                 cell = {"status": "obstruction-replayed",
                         "detail": "exact obstruction rules this out"}
             else:
-                if cx is None:
-                    cx = _example_structure(entry.examples[0], structures)
-                outcome = find_metric(cx, cond, cfg)
+                outcome = find_metric(_verified(entry.examples[0], memo)[1], cond, cfg)
                 if outcome.status == "found":
                     cell = {"status": "mismatch",
                             "detail": "search found a witness where none is claimed"}
@@ -700,10 +686,8 @@ def classification_sweep(conditions: Optional[Sequence[str]] = None,
 
     controls = []
     for entry in negative_controls():
-        replayed = False
-        for row in obstruction_table(algebra=entry.name):
-            if row.condition == "complex" and replay_obstruction_row(row)["ok"]:
-                replayed = True
+        replayed = any(report["ok"] for row, report in replays.get(entry.name, ())
+                       if row.condition == "complex")
         controls.append({
             "algebra": entry.name,
             "status": "obstruction-replayed" if replayed else "mismatch",

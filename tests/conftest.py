@@ -87,3 +87,19 @@ def tampered_lcskt_row(monkeypatch):
     rows[i] = dataclasses.replace(rows[i], steps=(bad,) + rows[i].steps[1:])
     monkeypatch.setattr(obstructions, "_ROWS", rows)
     return first.label
+
+
+@pytest.fixture()
+def tampered_control_row(monkeypatch):
+    """The registry with the last step of the first branch of the merged
+    s6.140^-1 / s6.146^-1 generic-J row expecting one more than its true
+    value; returns the two control names."""
+    rows = obstructions.obstruction_table()
+    i = next(i for i, r in enumerate(rows) if r.algebra == "s6.140^-1|s6.146^-1")
+    branch = rows[i].steps[0]
+    last = branch.steps[-1]
+    bad = dataclasses.replace(last, expected=lambda c: last.expected(c) + 1)
+    branch = dataclasses.replace(branch, steps=branch.steps[:-1] + (bad,))
+    rows[i] = dataclasses.replace(rows[i], steps=(branch,) + rows[i].steps[1:])
+    monkeypatch.setattr(obstructions, "_ROWS", rows)
+    return rows[i].algebra.split("|")

@@ -13,6 +13,10 @@ from hermlie.catalog import list_entries
 from hermlie.cli import main
 
 
+#: a number in more parentheses than the parser nests
+DEEP = "(" * 5000 + "1" + ")" * 5000
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -89,6 +93,9 @@ class TestVerifyCatalog:
         # powers too large to compute: refused before any is evaluated
         ("equations", "(2^8000000000f35, 0, 0, 0, 0, 0)"),
         ("omega", "(((2^64)^64)^64)^64f12"),
+        # parentheses nested too deep to parse recursively
+        ("equations", "(" + DEEP + "f35, 0, 0, 0, 0, 0)"),
+        ("omega", DEEP + "f12+f34+f56"),
     ])
     def test_malformed_row_exit_code(self, dumped_catalog, tmp_path, capsys,
                                      field, value):
@@ -99,6 +106,7 @@ class TestVerifyCatalog:
         code, out, err = run(capsys, "verify-catalog", str(bad))
         assert code == 2
         assert err.startswith("error: bad example row 0") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
     def test_row_that_is_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "rows.json"
@@ -299,6 +307,8 @@ class TestLatticeProbe:
         ("f6", "2**2"),
         ("2^8000000000f6", "1"),
         ("f6", "(((2^64)^64)^64)^64"),
+        ("f6", DEEP),
+        (DEEP + "f6", "1"),
         ("", "1"),
         ("f6", None),
         (None, "1"),
@@ -310,6 +320,7 @@ class TestLatticeProbe:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
         assert out == ""
 
     @pytest.mark.parametrize("argv", [

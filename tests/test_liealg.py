@@ -19,6 +19,7 @@ from hermlie.liealg import (
     is_nilpotent,
     is_solvable,
     is_strongly_unimodular,
+    _MAX_NESTING,
     jacobi_holds,
     lower_central_series,
     parse_form,
@@ -64,6 +65,13 @@ class TestParsing:
         assert parse_form("2^2^2f1", degree=1) == parse_form("16f1", degree=1)
         assert parse_scalar("2^2^2") == parse_scalar("16") == 16
         assert parse_form("2/3^2^2f1", degree=1) == parse_form("2/81f1", degree=1)
+
+    def test_nesting_is_bounded(self):
+        # refused before the recursive descent can exhaust the stack
+        deep = "(" * _MAX_NESTING + "2" + ")" * _MAX_NESTING
+        assert parse_scalar(deep) == 2 and parse_form(deep + "f12").coeff(1, 2) == 2
+        with pytest.raises(ValueError, match="nested more than"):
+            parse_form("(" + deep + ")f12")
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 """Randomized searches with exact verification of every reported witness."""
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlie import Complexification
+from hermlie import Complexification, search
 from hermlie.catalog import get_entry, list_entries
 from hermlie.cpx import is_integrable, nijenhuis, squares_to_minus_id
 from hermlie.herm import (
@@ -17,6 +18,7 @@ from hermlie.herm import (
     metric_from_alpha_form,
 )
 from hermlie.liealg import parse_structure_equations
+from hermlie.obstructions import obstruction_table
 from hermlie.scalars import GaussianRational
 from hermlie.search import (
     J_BOUNDS,
@@ -444,12 +446,42 @@ class TestSweep:
                     if r["cells"]["tamed"]["status"] == "verified-example"}
         assert verified == {"s3.3^0+R3", "s5.13^p,-p,r+R"}
 
-    def test_failed_replay_is_a_mismatch(self, tampered_lcskt_row):
+    def test_failed_replay_is_a_mismatch(self, tampered_lcskt_row, tampered_control_row):
         result = classification_sweep(
             conditions=("lcskt",), cfg=SearchConfig(restarts=1, max_iters=5))
         assert not result["ok"]
-        failed = [m for m in result["mismatches"] if "failed to replay" in m]
+        failed = [m for m in result["mismatches"] if "obstruction row failed to replay" in m]
         assert len(failed) == 1 and failed[0].startswith("s6.162^1/lcskt: ")
         assert f"step {tampered_lcskt_row!r}" in failed[0]
         cell, = (r["cells"]["lcskt"] for r in result["rows"] if r["algebra"] == "s6.162^1")
         assert cell["status"] == "search-evidence"
+        # the merged row is replayed once, and both of its controls read the failure
+        statuses = {c["algebra"]: c["status"] for c in result["controls"]}
+        assert statuses == {"s6.140^-1": "mismatch", "s6.146^-1": "mismatch",
+                            "s6.151": "obstruction-replayed",
+                            "s6.155^1": "obstruction-replayed"}
+        assert {c["detail"] for c in result["controls"]} == {
+            "admits no complex structure (exact generic-J contradiction)"}
+        assert [m for m in result["mismatches"] if "integrability" in m] == [
+            f"{name}: integrability obstruction failed to replay"
+            for name in tampered_control_row]
+
+    def test_each_exact_step_runs_once(self, monkeypatch):
+        # one replay per obstruction row, shared by every algebra the row names,
+        # and one complexification per stored example, shared by all its cells
+        replayed, built = [], Counter()
+        replay = search.replay_obstruction_row
+        monkeypatch.setattr(search, "replay_obstruction_row",
+                            lambda row: replayed.append(row) or replay(row))
+        init = Complexification.__init__
+
+        def counted_init(cx, g, J, *rest):
+            built[g.name, str(J)] += 1
+            init(cx, g, J, *rest)
+
+        monkeypatch.setattr(Complexification, "__init__", counted_init)
+        classification_sweep(cfg=SearchConfig(seed=0, restarts=1, max_iters=5))
+        assert Counter(map(id, replayed)) == Counter(map(id, obstruction_table()))
+        stored = Counter((ex.algebra, str(ex.j()))
+                         for entry in list_entries() for ex in entry.examples)
+        assert built and built <= stored
