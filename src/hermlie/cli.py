@@ -170,12 +170,18 @@ def _example_from_json(row, where: str):
     return ex, parsed
 
 
-def _examples_from_file(path: str) -> list:
+def _read_json(path: str, what: str):
+    """The JSON value in ``path``; a file that cannot be read, is not JSON or
+    nests deeper than the decoder can recurse is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise _SchemaError(f"cannot read catalog file: {err}")
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError, RecursionError) as err:
+        raise _SchemaError(f"cannot read {what}: {err}") from None
+
+
+def _examples_from_file(path: str) -> list:
+    data = _read_json(path, "catalog file")
     if not isinstance(data, dict) or "examples" not in data:
         raise _SchemaError("catalog file must be an object with an 'examples' list")
     examples = data["examples"]
@@ -250,11 +256,7 @@ def cmd_verify_catalog(args):
 # ---------------------------------------------------------------------------
 
 def cmd_check(args):
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise _SchemaError(f"cannot read input file: {err}") from None
+    data = _read_json(args.file, "input file")
     if isinstance(data, dict) and "algebra" in data:
         _entry(data["algebra"])  # a check input names a catalog algebra, even with equations
     ex, (g, J, om_real, _) = _example_from_json(data, "bad input schema")

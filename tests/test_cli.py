@@ -142,6 +142,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["check", "verify-catalog"])
+    def test_deeply_nested_file(self, tmp_path, capsys, command):
+        # nested deeper than the JSON decoder can recurse
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read ") and len(err.splitlines()) == 1
+
     def test_missing_keys(self, tmp_path, capsys):
         path = tmp_path / "in.json"
         path.write_text(json.dumps({"omega": "f12"}))

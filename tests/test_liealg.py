@@ -11,6 +11,7 @@ import pytest
 from hermlie.catalog import get_entry
 from hermlie.forms import Form
 from hermlie.liealg import (
+    _MAX_NESTING,
     LieAlgebra,
     ce_differential,
     derived_series,
@@ -19,7 +20,6 @@ from hermlie.liealg import (
     is_nilpotent,
     is_solvable,
     is_strongly_unimodular,
-    _MAX_NESTING,
     jacobi_holds,
     lower_central_series,
     parse_form,

@@ -475,9 +475,9 @@ class TestSweep:
                             lambda row: replayed.append(row) or replay(row))
         init = Complexification.__init__
 
-        def counted_init(cx, g, J, *rest):
+        def counted_init(cx, g, J, alphas):
             built[g.name, str(J)] += 1
-            init(cx, g, J, *rest)
+            init(cx, g, J, alphas)
 
         monkeypatch.setattr(Complexification, "__init__", counted_init)
         classification_sweep(cfg=SearchConfig(seed=0, restarts=1, max_iters=5))
