@@ -7,11 +7,12 @@ examples and d of a basis monomial.
 It prints three tables:
 
 * ``replay``: per obstruction row of ``obstructions.obstruction_table``,
-  named by its family (its algebra when it has none) and condition, the
-  median over 5 runs of one ``obstructions.replay_obstruction_row`` call.
+  named by its family (its algebra when it has none) and condition, its
+  ``runs`` (contexts times branches) and the median over 5 runs of one
+  ``obstructions.replay_obstruction_row`` call.
   Every replay is cold: each context builds its own ring and
   ``cpx.instantiate_family`` frame, so no image of d is cached between runs.
-  The last line sums the medians;
+  The last line sums the runs and the medians;
 * ``verify_example``: over the stock golden examples of every catalog entry,
   the median of each example's median over 5 ``catalog.verify_example``
   calls, and their sum;
@@ -36,27 +37,31 @@ from hermlie import catalog, forms, obstructions  # noqa: E402
 REPEATS = 5
 
 
-def median_ms(fn, arg) -> float:
+def median_ms(fn, arg):
+    """The median wall time of REPEATS calls ``fn(arg)`` in ms, and the
+    value of the last call."""
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        fn(arg)
+        out = fn(arg)
         times.append(time.perf_counter() - t0)
-    return statistics.median(times) * 1e3
+    return statistics.median(times) * 1e3, out
 
 
 def replay_table(rows) -> None:
-    print(f"{'replay':20s} {'condition':18s} {'ms':>8s}")
-    total = 0.0
+    print(f"{'replay':20s} {'condition':18s} {'runs':>5s} {'ms':>8s}")
+    total, total_runs = 0.0, 0
     for row in rows:
-        ms = median_ms(obstructions.replay_obstruction_row, row)
+        ms, report = median_ms(obstructions.replay_obstruction_row, row)
         total += ms
-        print(f"{row.family_id or row.algebra:20s} {row.condition:18s} {ms:8.2f}")
-    print(f"{f'all {len(rows)} rows':20s} {'':18s} {total:8.2f}")
+        total_runs += report["runs"]
+        print(f"{row.family_id or row.algebra:20s} {row.condition:18s} "
+              f"{report['runs']:5d} {ms:8.2f}")
+    print(f"{f'all {len(rows)} rows':20s} {'':18s} {total_runs:5d} {total:8.2f}")
 
 
 def verify_example_table(examples) -> None:
-    ms = [median_ms(catalog.verify_example, ex) for ex in examples]
+    ms = [median_ms(catalog.verify_example, ex)[0] for ex in examples]
     print(f"{'verify_example':20s} {'examples':>8s} {'median ms':>9s} {'sum ms':>8s}")
     print(f"{'stock':20s} {len(ms):8d} {statistics.median(ms):9.2f} {sum(ms):8.2f}")
 

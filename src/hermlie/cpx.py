@@ -23,7 +23,8 @@ from typing import Mapping, Optional, Sequence
 from . import linalg
 from .forms import Antiderivation, BasisChange, Form, sort_sign
 from .liealg import LieAlgebra, ce_differential
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, PolyRing, conj_scalar, im_part, re_part
+from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussianRational, Poly, PolyRing, conj_scalar,
+                      im_part, re_part)
 
 HOLO = 3  # indices 1..3 are (1,0), indices 4..6 their conjugates
 
@@ -288,9 +289,13 @@ def _alpha_k_wedge_re1(k: int, coeff=1) -> Form:
     return _two((k, 1), coeff) - _two((k, 4), coeff)
 
 
-def _unit_circle(params: dict) -> GaussianRational:
-    """The unit Gaussian rational params['c'], standing for e^{i theta}."""
-    c = GaussianRational.coerce(params["c"])
+def _unit_circle(params: dict):
+    """params['c'], standing for e^{i theta}: a symbolic Poly, or an exact
+    value that must lie on the unit circle."""
+    c = params["c"]
+    if isinstance(c, Poly):
+        return c
+    c = GaussianRational.coerce(c)
     if c * c.conj() != GR_ONE:
         raise ValueError("c must lie on the unit circle")
     return c

@@ -46,15 +46,23 @@ __all__ = [
 _PI = {"pi": Fraction(math.pi)}
 
 
+def _float(x: Fraction) -> float:
+    """``x`` rounded to a float; a value beyond the float range is a bad input."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("a value overflows a float") from None
+
+
 def parse_time(text: str) -> float:
     """Parse a time expression such as ``2pi``, ``π/2``, ``1`` or ``3/4``."""
-    return float(parse_scalar(text.replace("π", "pi"), _PI).re)
+    return _float(parse_scalar(text.replace("π", "pi"), _PI).re)
 
 
 def parse_vector(text: str, dim: int = 6) -> np.ndarray:
     """Parse a vector like ``f6-((pi-1)/pi)f5`` into float components."""
     form = parse_form(text.replace("π", "pi"), _PI, degree=1, dim=dim)
-    return np.array([float(GaussianRational.coerce(form.coeff(i)).re)
+    return np.array([_float(GaussianRational.coerce(form.coeff(i)).re)
                      for i in range(1, dim + 1)])
 
 
@@ -73,7 +81,7 @@ def ad_restricted(g: LieAlgebra, X: Sequence[float], basis) -> np.ndarray:
         c = linalg.solve(columns, g.bracket(x, b))
         if c is None:
             raise ValueError("ad_X does not preserve the span of the given basis")
-        coords.append([float(v.re) for v in c])
+        coords.append([_float(v.re) for v in c])
     return np.array(coords).T
 
 
@@ -126,7 +134,10 @@ def run_probe(g: LieAlgebra, x_text: str, t_text: str,
     from scipy.linalg import expm  # imported here: the probe is its only user
 
     A = ad_restricted(g, parse_vector(x_text, g.dim), find_nilradical(g))
-    M = expm(parse_time(t_text) * A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = expm(parse_time(t_text) * A)
+    if not np.isfinite(M).all():
+        raise ValueError("exp(t ad_X) overflows a float")
     integral, rounded = integrality_check(M, tolerance)
     return {
         "algebra": name or g.name,

@@ -12,10 +12,7 @@ all, fails on a given algebra, as a staged symbolic computation.  One engine,
 * a *step* (:class:`Step`) extracts a coefficient (or combination) of the
   residual, with the substitutions installed so far applied, asserts its
   exact polynomial value, and optionally installs the substitutions forced
-  by setting it to zero;
-* a *pivot* binds a variable that appears in a denominator to an exact
-  rational value.  A branch with pivots is replayed once per pivot, so it
-  covers those values only.
+  by setting it to zero.
 
 Metric rows work over the generic compatible metric
 ``omega = i(l1 a^{11'} + l2 a^{22'} + l3 a^{33'}) + w1 a^{23'} - w1~ a^{32'}
@@ -35,8 +32,11 @@ The condition picks the residual (xi: coefficient of the *sorted* monomial):
     ``j2(i, j)``.  Every branch ends in a sign contradiction with J^2 = -Id.
 
 Rows with sign parameters (values in {-1, +1}) are replayed for every sign
-choice; rows whose family coefficients involve divisions by parameters are
-replayed at exact rational parameter samples instead of symbolically.
+choice.  Every other parameter is a polynomial variable, so a row covers its
+whole family, except where the family equations themselves divide by a
+parameter: the ``N52-152-b`` and ``N52-154`` rows are replayed at exact
+rational parameter samples, and so are the merged ``complex`` rows (one
+sample per algebra) and the ``q=1`` slice of ``AA-s6.17``.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from .cpx import instantiate_family, nijenhuis, generic_j_ring
 from .forms import Form
 from .herm import (CHECKERS, HermitianMetric, fundamental_form, first_gauduchon_coefficient,
                    torsion_H)
-from .scalars import (GR_I, GR_ZERO, GaussianRational, Poly, PolyRing, conj_scalar,
-                      im_part, re_part)
+from .scalars import (GR_I, GaussianRational, Poly, PolyRing, conj_scalar, im_part,
+                      re_part)
 
 F = Fraction
 I = GR_I
@@ -70,23 +70,17 @@ class ReplayContext:
         self.params = params
         self.residual = None  # Form, scalar or (N, J^2), set by _contexts
         self.subs: dict = {}
-        self.pivot: dict = {}
 
-    def enter(self, assume: tuple, pivot: dict):
-        """Start a branch: drop every substitution, set the ``assume`` names
-        to zero and bind the pivot's exact values."""
+    def enter(self, assume: tuple):
+        """Start a branch: drop every substitution and set the ``assume``
+        names to zero."""
         self.subs = {}
-        self.pivot = {n: GaussianRational.coerce(x) for n, x in pivot.items()}
         for name in assume:
             self.set(name, 0)
-        for name, x in self.pivot.items():
-            self.set(name, x)
 
     # -- variable access ------------------------------------------------
     def v(self, name):
-        """The variable ``name``, or its exact value where a pivot binds it."""
-        if name in self.pivot:
-            return self.pivot[name]
+        """The ring variable ``name``."""
         return self.ring.var(name)
 
     def p(self, name):
@@ -162,12 +156,10 @@ class Step:
 @dataclass(frozen=True)
 class Branch:
     """One case of an elimination: ``assume`` names the variables known to
-    vanish on entry; each dict in ``pivots`` binds variables that appear in
-    denominators to exact values, and the branch is replayed once per dict."""
+    vanish on entry."""
     label: str
     steps: tuple
     assume: tuple = ()
-    pivots: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -357,20 +349,19 @@ def replay_obstruction_row(row: ObstructionRow) -> dict:
     }
     for ctx in _contexts(row):
         for branch in branches:
-            for pivot in branch.pivots or ({},):
-                ctx.enter(branch.assume, pivot)
-                for step in branch.steps:
-                    got = ctx.ring.coerce(step.value(ctx))
-                    want = ctx._apply(step.expected(ctx))
-                    if got != want:
-                        report["ok"] = False
-                        report["detail"] = (
-                            f"{row.algebra}/{row.condition}/{row.branch} branch "
-                            f"{branch.label!r} step {step.label!r} at {ctx.params} "
-                            f"{ctx.pivot}: got {got}, expected {want}")
-                        return report
-                    if step.after is not None:
-                        step.after(ctx)
+            ctx.enter(branch.assume)
+            for step in branch.steps:
+                got = ctx.ring.coerce(step.value(ctx))
+                want = ctx._apply(step.expected(ctx))
+                if got != want:
+                    report["ok"] = False
+                    report["detail"] = (
+                        f"{row.algebra}/{row.condition}/{row.branch} branch "
+                        f"{branch.label!r} step {step.label!r} at {ctx.params}: "
+                        f"got {got}, expected {want}")
+                    return report
+                if step.after is not None:
+                    step.after(ctx)
             report["runs"] += 1
     return report
 
@@ -378,7 +369,6 @@ def replay_obstruction_row(row: ObstructionRow) -> dict:
 # ---------------------------------------------------------------------------
 # exact parameter samples shared by the rows of one family; a row may slice them
 
-_145_SAMPLES = ({"c": 1}, {"c": GaussianRational(F(3, 5), F(4, 5))})
 _152B_SAMPLES = (
     {"z1": GaussianRational(F(1), F(1)), "z2": GaussianRational(F(1, 2), F(2)), "delta": 1},
     {"z1": GaussianRational(F(-1, 3), F(2)), "z2": GaussianRational(F(0), F(1)), "delta": -1},
@@ -420,16 +410,15 @@ def _rows_twisted() -> list:
 
     rows.append(ObstructionRow(
         "s6.145^0", "lcskt", "N51-145", "", "residual_nonzero",
-        sym_cpx=("nu",),
-        samples=_145_SAMPLES,
+        sym_cpx=("c", "nu"),
         mu=_MU_Z3,
         note="the zeta-dependence cancels in the combination "
-             "l1 xi_23_2'3' + 2 Im(conj(w3) xi_13_2'3')",
+             "l1 xi_23_2'3' + 2 Im(conj(w3) xi_13_2'3'); |c| = 1 on the family",
         steps=(
             Step("l1 xi_23_2'3' + 2 Im(conj(w3) xi_13_2'3')",
                  lambda c: c.v("l1") * c.xi(2, 3, 5, 6)
                  + 2 * c.im(c.cj(c.v("w3")) * c.xi(1, 3, 5, 6)),
-                 lambda c: 4 * c.v("l1") ** 2),
+                 lambda c: 4 * c.norm_sq(c.p("c")) * c.v("l1") ** 2),
         )))
 
     rows.append(ObstructionRow(
@@ -601,24 +590,21 @@ def _rows_lck() -> list:
                  lambda c: c.p("eps") * c.v("l1")),
         )))
 
-    def _47_samples():
-        vals = []
-        for l1, l2, l3 in ((F(1), F(1), F(2)), (F(2), F(3), F(5)), (F(1, 2), F(4), F(3))):
-            for w2 in (GaussianRational(F(0)), GaussianRational(F(1), F(1))):
-                vals.append({"l1s": l1, "l2s": l2, "l3s": l3, "w2s": w2})
-        return tuple(vals)
-
     rows.append(ObstructionRow(
         "s4.7+R2", "lck", "HT-s4.7+R2", "", "residual_nonzero",
-        signs=("eps",), samples=_47_samples(),
-        mu=_MU_RE1_Z3,
-        note="metric entries sampled exactly: the forced y, zeta involve 1/l2",
+        signs=("eps",), mu=_MU_RE1_Z3,
+        note="the forced l1 and w2 leave l2 xi_13_3' = -eps (l1 l3 - |w2|^2), "
+             "nonzero on the positivity cone",
         steps=(
             Step("xi_12_2'", lambda c: c.xi(1, 2, 5),
                  lambda c: c.p("eps") * c.v("l1") + c.v("y") * c.v("l2"),
-                 after=lambda c: _47_force(c)),
-            Step("xi_13_3'", lambda c: _47_substituted_final(c),
-                 lambda c: GR_ZERO),
+                 after=lambda c: c.set("l1", -(c.p("eps") * c.v("y") * c.v("l2")))),
+            Step("xi_23_2'", lambda c: c.xi(2, 3, 5),
+                 lambda c: I * (c.v("l2") * c.v("zeta") - c.p("eps") * c.v("w2~")),
+                 after=lambda c: c.set("w2~", c.p("eps") * c.v("l2") * c.v("zeta"))),
+            Step("l2 xi_13_3'", lambda c: c.v("l2") * c.xi(1, 3, 6),
+                 lambda c: -(c.p("eps") * (c.v("l1") * c.v("l3")
+                                           - c.norm_sq(c.v("w2"))))),
         )))
 
     rows.append(ObstructionRow(
@@ -642,8 +628,7 @@ def _rows_lck() -> list:
 
     rows.append(ObstructionRow(
         "s6.145^0", "lck", "N51-145", "", "mu_forced_zero",
-        sym_cpx=("nu",),
-        samples=_145_SAMPLES,
+        sym_cpx=("c", "nu"),
         mu=_MU_Z3,
         steps=(
             Step("xi_13_1'", lambda c: c.xi(1, 3, 4),
@@ -740,23 +725,6 @@ def _rows_lck() -> list:
     return rows
 
 
-def _47_force(c: ReplayContext):
-    """Bind the sampled metric, then y = -eps l1 / l2 and zeta = eps w2~ / l2."""
-    for var in ("l1", "l2", "l3", "w2"):
-        c.set(var, c.p(var + "s"))
-    eps = c.p("eps")
-    inv = c.p("l2s").inverse()
-    c.set("y", -(eps * c.p("l1s") * inv))
-    c.set("zeta", eps * inv * conj_scalar(c.p("w2s")))
-
-
-def _47_substituted_final(c: ReplayContext):
-    """xi_13_3' + (eps / l2)(l1 l3 - |w2|^2) at the sampled metric."""
-    eps, l1, l2, l3, w2 = (c.p(n) for n in ("eps", "l1s", "l2s", "l3s", "w2s"))
-    claimed = -(eps * l2.inverse() * (l1 * l3 - w2 * w2.conj()))
-    return c.xi(1, 3, 6) - claimed
-
-
 # ---------------------------------------------------------------------------
 # row definitions: strongly Gauduchon
 
@@ -836,9 +804,8 @@ def _rows_firstg() -> list:
 
     rows.append(fg(
         "s6.145^0", "N51-145", "",
-        lambda c: -2 * c.v("l1") ** 2,
-        sym_cpx=("nu",),
-        samples=_145_SAMPLES))
+        lambda c: -2 * c.norm_sq(c.p("c")) * c.v("l1") ** 2,
+        sym_cpx=("c", "nu")))
 
     rows.append(fg(
         "s6.147^0", "N51-147-a", "J1",
@@ -938,8 +905,7 @@ def _rows_nijenhuis() -> list:
     merges two algebras via a coefficient eps in {0, 1}: its i-th sample
     holds the eps of the i-th algebra it names, whose structure equations
     are read from the catalog.  Every branch ends in a sign contradiction with J^2 = -Id,
-    recorded in the step labels; division-bearing branches are replayed at
-    exact rational pivot values.  ``N`` checks the f_k-component of
+    recorded in the step labels.  ``N`` checks the f_k-component of
     N(f_i, f_j) and ``Q`` an entry of J^2; the trailing (name, value) pairs
     are the substitutions forced by setting the checked value to zero."""
     rows = []
@@ -1043,9 +1009,8 @@ def _rows_nijenhuis() -> list:
                   lambda c: c.v("J11") ** 2),
             )),
         Branch(
-            "J41 nonzero (rational pivot)",
+            "J41 nonzero (J65 forced nonzero by (J^2)_55)",
             assume=("J51", "J52", "J61", "J62"),
-            pivots=({"J41": F(1)}, {"J41": F(-2)}, {"J41": F(1, 3)}),
             steps=(
                 N("f4(N(f1,f3))", 1, 3, 4,
                   lambda c: -2 * c.v("J41") * c.v("J63"),
@@ -1057,22 +1022,24 @@ def _rows_nijenhuis() -> list:
                   lambda c: c.v("J54") * c.v("J41")),
                 N("f4(N(f1,f4))", 1, 4, 4,
                   lambda c: -2 * c.v("J64") * c.v("J41")),
-                N("f3(N(f1,f5))", 1, 5, 3,
-                  lambda c: -(c.v("J31") ** 2) - c.v("J32") * c.v("J41")),
                 N("f4(N(f1,f5))", 1, 5, 4,
                   lambda c: -(c.v("J41")
                               * (c.v("J31") + c.v("J42") + 2 * c.v("J65"))),
                   ("J54", 0), ("J64", 0),
-                  ("J32", lambda c: -(c.v("J31") ** 2) * c.v("J41").inverse()),
                   ("J42", lambda c: -c.v("J31") - 2 * c.v("J65"))),
+                Q("(J^2)_55 = J55^2 + J56 J65", 5, 5,
+                  lambda c: c.v("J55") ** 2 + c.v("J56") * c.v("J65")),
                 N("f3(N(f2,f5))", 2, 5, 3,
-                  lambda c: -4 * c.v("J31") ** 2 * c.v("J65") * c.v("J41").inverse(),
+                  lambda c: 4 * c.v("J32") * c.v("J65"),
+                  ("J32", 0)),
+                N("f3(N(f1,f5))", 1, 5, 3,
+                  lambda c: -(c.v("J31") ** 2),
                   ("J31", 0)),
-                N("f4(N(f2,f5)) = -4 J65^2, but (J^2)_55 < 0 needs J65 != 0",
-                  2, 5, 4, lambda c: -4 * c.v("J65") ** 2),
+                N("f4(N(f2,f5)) = -4 J65^2 != 0, contradiction", 2, 5, 4,
+                  lambda c: -4 * c.v("J65") ** 2),
             )),
         Branch(
-            "all pivots zero",
+            "all zero",
             assume=("J41", "J51", "J52", "J61", "J62"),
             steps=(
                 N("f3(N(f1,f5))", 1, 5, 3,

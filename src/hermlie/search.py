@@ -87,6 +87,8 @@ class SearchConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
         if not 0 < self.tol < float("inf"):  # also rejects NaN
             raise ValueError("tolerance must be positive and finite")
         if self.restarts < 1:

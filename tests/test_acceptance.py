@@ -153,9 +153,9 @@ def test_obstruction_replay():
     reports = replay_all()
     assert len(reports) == 46
     assert all(r["ok"] and r["runs"] >= 1 for r in reports)
-    # every sign choice, sample and pivot: a sample dropped from a shared
-    # sample tuple changes this total
-    assert sum(r["runs"] for r in reports) == 119
+    # every sign choice and sample: a sample dropped from a shared sample
+    # tuple changes this total
+    assert sum(r["runs"] for r in reports) == 106
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"replay took {elapsed:.2f}s (budget 30s)"
 

@@ -229,9 +229,18 @@ class TestSearch:
         ("search", "s6.25", "--max-iters", "-3"),
         ("report-table", "--restarts", "0"),
         ("report-table", "--max-iters", "-1"),
+        ("--seed", "-1", "search", "s6.25"),
+        ("--seed", "-1", "report-table"),
     ])
     def test_bad_search_options(self, capsys, argv):
         code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
+    def test_negative_seed_from_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("HERMLIE_SEED", "-3")
+        code, out, err = run(capsys, "search", "s6.25")
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
         assert out == ""
@@ -318,6 +327,9 @@ class TestLatticeProbe:
         ("f6", "(((2^64)^64)^64)^64"),
         ("f6", DEEP),
         (DEEP + "f6", "1"),
+        ("f6", "10^400"),
+        ("10^400f6", "1"),
+        ("f6", "10^300"),
         ("", "1"),
         ("f6", None),
         (None, "1"),
@@ -430,7 +442,7 @@ _GOOD = {
 _BAD = {
     "algebra": st.sampled_from(["nope", "", "-x", "S6.25"]) | st.text(max_size=6),
     "--condition": st.sampled_from(["nope", "Kahler", ""]) | st.text(max_size=6),
-    "--seed": _NUMBERS | st.text(max_size=4),
+    "--seed": _NUMBERS | st.text(max_size=4) | st.integers(-2 ** 40, -1).map(str),
     "--restarts": st.integers(-2, 0).map(str) | _NUMBERS,
     "--max-iters": st.integers(-2, -1).map(str) | _NUMBERS,
     "--tol": st.floats().map(str) | _NUMBERS,
