@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Time the exact layer on the ``certify`` path: obstruction replay, golden
-examples and d of a basis monomial.
+examples, the Nijenhuis tensor and d of a basis monomial.
 
     python3 scripts/exact_layer.py
 
-It prints three tables:
+It prints four tables:
 
 * ``replay``: per obstruction row of ``obstructions.obstruction_table``,
   named by its family (its algebra when it has none) and condition, its
@@ -16,6 +16,11 @@ It prints three tables:
 * ``verify_example``: over the stock golden examples of every catalog entry,
   the median of each example's median over 5 ``catalog.verify_example``
   calls, and their sum;
+* ``nijenhuis``: the median over 5 passes of the summed ``cpx.nijenhuis``
+  time, in two rows: the exact pass over the stock golden J of every catalog
+  entry, and the generic symbolic J (``cpx.generic_j_ring``) on each algebra
+  named by a ``complex`` obstruction row.  Each pass parses every algebra
+  afresh, outside the timed call, as ``catalog.verify_example`` does;
 * ``_monomial``: per degree of the monomial, the number of
   ``forms.Antiderivation._monomial`` calls in one pass of every replay and
   every ``verify_example`` above, and their mean time in microseconds (each
@@ -32,7 +37,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hermlie import catalog, forms, obstructions  # noqa: E402
+from hermlie import catalog, cpx, forms, obstructions  # noqa: E402
 
 REPEATS = 5
 
@@ -64,6 +69,27 @@ def verify_example_table(examples) -> None:
     ms = [median_ms(catalog.verify_example, ex)[0] for ex in examples]
     print(f"{'verify_example':20s} {'examples':>8s} {'median ms':>9s} {'sum ms':>8s}")
     print(f"{'stock':20s} {len(ms):8d} {statistics.median(ms):9.2f} {sum(ms):8.2f}")
+
+
+def nijenhuis_table(rows, examples) -> None:
+    generic = [catalog.get_entry(name) for row in rows if row.condition == "complex"
+               for name in row.algebra.split("|")]
+    cases = {
+        "golden J": [(ex.algebra_instance, ex.j) for ex in examples],
+        "generic J": [(e.algebra_instance, lambda: cpx.generic_j_ring(6)[1]) for e in generic],
+    }
+    print(f"{'nijenhuis':20s} {'calls':>8s} {'median ms':>9s}")
+    for label, pairs in cases.items():
+        passes = []
+        for _ in range(REPEATS):
+            total = 0.0
+            for algebra, j in pairs:
+                g, J = algebra(), j()
+                t0 = time.perf_counter()
+                cpx.nijenhuis(g, J)
+                total += time.perf_counter() - t0
+            passes.append(total)
+        print(f"{label:20s} {len(pairs):8d} {statistics.median(passes) * 1e3:9.2f}")
 
 
 def monomial_table(rows, examples) -> None:
@@ -99,6 +125,8 @@ def main() -> int:
     replay_table(rows)
     print()
     verify_example_table(examples)
+    print()
+    nijenhuis_table(rows, examples)
     print()
     monomial_table(rows, examples)
     return 0

@@ -106,9 +106,10 @@ def _write_csv(result: dict):
 
 
 def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return _default_seed()
+    try:
+        return _default_seed() if args.seed is None else args.seed
+    except ValueError as err:
+        raise _SchemaError(str(err)) from None
 
 
 def _search_config(args, **defaults):
@@ -491,13 +492,13 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    manifest = RunManifest(
-        command=args.command,
-        arguments={k: v for k, v in vars(args).items()
-                   if k not in ("command", "json") and v is not None},
-        seed=_seed(args),
-    )
     try:
+        manifest = RunManifest(
+            command=args.command,
+            arguments={k: v for k, v in vars(args).items()
+                       if k not in ("command", "json") and v is not None},
+            seed=_seed(args),
+        )
         code, payload, lines = _DISPATCH[args.command](args)
     except _SchemaError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -23,8 +23,8 @@ from typing import Mapping, Optional, Sequence
 from . import linalg
 from .forms import Antiderivation, BasisChange, Form, sort_sign
 from .liealg import LieAlgebra, ce_differential
-from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussianRational, Poly, PolyRing, conj_scalar,
-                      im_part, re_part)
+from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussianRational, Poly, PolyRing, _mono_mul,
+                      add_term, conj_scalar, im_part, re_part)
 
 HOLO = 3  # indices 1..3 are (1,0), indices 4..6 their conjugates
 
@@ -33,28 +33,13 @@ HOLO = 3  # indices 1..3 are (1,0), indices 4..6 their conjugates
 # almost complex structures on a real algebra
 
 
-def apply_matrix(J: Sequence[Sequence], v: Sequence) -> list:
-    n = len(v)
-    out = []
-    for i in range(n):
-        acc = GR_ZERO
-        for j in range(n):
-            if J[i][j] and v[j]:
-                acc = acc + J[i][j] * v[j]
-        out.append(acc)
-    return out
-
-
 def squares_to_minus_id(J: Sequence[Sequence]) -> bool:
     """Whether ``J^2 = -Id`` exactly; computes ``J^2`` one entry at a time
     and stops at the first that is not ``-delta_ij``."""
     n = len(J)
     for i, row in enumerate(J):
         for j in range(n):
-            acc = GR_ZERO
-            for k in range(n):
-                if row[k] and J[k][j]:
-                    acc = acc + row[k] * J[k][j]
+            acc = sum((row[k] * J[k][j] for k in range(n) if row[k] and J[k][j]), GR_ZERO)
             if GaussianRational.coerce(acc) != (-GR_ONE if i == j else GR_ZERO):
                 return False
     return True
@@ -87,23 +72,44 @@ def j_from_images(images: Mapping[int, Sequence], dim: int = 6) -> list:
 
 
 def nijenhuis(g: LieAlgebra, J: Sequence[Sequence]) -> dict:
-    """Nijenhuis tensor as {(i, j): component vector of N(f_i, f_j)}, i < j.
+    """Nijenhuis tensor as {(a, b): component vector of N(f_a, f_b)}, a < b.
 
-    N(X, Y) = [X, Y] + J[JX, Y] + J[X, JY] - [JX, JY]; works for exact or
-    symbolic (generic J entries) scalars.
-    """
+    N(X, Y) = [X, Y] + J[JX, Y] + J[X, JY] - [JX, JY], so N(f_a, f_b)^i is
+    c^i_ab + sum c^p_qb J_qa J_ip + sum c^p_as J_sb J_ip - sum c^i_qs J_qa J_sb
+    over the nonzero c^i_jk of ``g.d1`` (both orders of j, k) and entries of J;
+    one loop gives both middle sums, as J[f_a, J f_b] = -J[J f_b, f_a].  Each
+    product goes straight into a term dict per component, a scalar entry being
+    a constant term: ``GaussianRational`` results for a scalar J, else ``Poly``."""
     n = g.dim
-    basis = [[GR_ONE if t == i else GR_ZERO for t in range(n)] for i in range(n)]
-    jb = [apply_matrix(J, e) for e in basis]
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            t1 = g.bracket(jb[i], jb[j])
-            t2 = apply_matrix(J, g.bracket(jb[i], basis[j]))
-            t3 = apply_matrix(J, g.bracket(basis[i], jb[j]))
-            t4 = g.bracket(basis[i], basis[j])
-            out[(i + 1, j + 1)] = [t4[k] + t2[k] + t3[k] - t1[k] for k in range(n)]
-    return out
+    ring = next((x.ring for row in J for x in row if isinstance(x, Poly)), None)
+    terms = [[list(x.terms.items()) if isinstance(x, Poly)
+              else [((), GaussianRational.coerce(x))] if x else [] for x in row] for row in J]
+    rows = [[(a, t) for a, t in enumerate(row) if t] for row in terms]
+    cols = [[(i, terms[i][p]) for i in range(n) if terms[i][p]] for p in range(n)]
+    acc = {(a, b): [{} for _ in range(n)] for a in range(n) for b in range(a + 1, n)}
+
+    def add(a, b, i, s, x, y):  # s * x * y into N(f_a, f_b)^i, or -s into N(f_b, f_a)^i
+        comp, s = (acc[a, b][i], s) if a < b else (acc[b, a][i], -s)
+        for m1, c1 in x:
+            c1 = s * c1
+            for m2, c2 in y:
+                add_term(comp, _mono_mul(m1, m2), c1 * c2)
+
+    for p, df in enumerate(g.d1):
+        for (j, k), v in df.coeffs.items():
+            c = GaussianRational.coerce(v)  # c^p_jk = -v for j < k
+            for q, r, s in ((j - 1, k - 1, -c), (k - 1, j - 1, c)):  # s = c^p_qr
+                if q < r:
+                    add_term(acc[q, r][p], (), s)  # [f_q, f_r]
+                for a, x in rows[q]:
+                    for b, y in rows[r]:  # -[J f_a, J f_b]
+                        if a < b:
+                            add(a, b, p, -s, x, y)
+                    if a != r:  # J[J f_a, f_r], and J[f_r, J f_a] = -J[J f_a, f_r]
+                        for i, y in cols[p]:
+                            add(a, r, i, s, x, y)
+    wrap = (lambda d: d.get((), GR_ZERO)) if ring is None else (lambda d: Poly(ring, d))
+    return {(a + 1, b + 1): [wrap(d) for d in N] for (a, b), N in acc.items()}
 
 
 def generic_j_ring(dim: int = 6) -> tuple[PolyRing, list]:
@@ -122,17 +128,13 @@ def is_integrable(g: LieAlgebra, J: Sequence[Sequence]) -> Optional["Complexific
     caller builds no second one."""
     if not squares_to_minus_id(J):
         return None
-    nj = nijenhuis(g, J)
-    vanishes = all(not any(v) for v in nj.values())
+    vanishes = all(not any(v) for v in nijenhuis(g, J).values())
     cx = Complexification(g, J, coframe_from_J(g, J))
-    no02 = all(not cx.frame.project(cx.frame.d_alpha[k], 0, 2) for k in range(HOLO))
-    if vanishes != no02:
+    if vanishes != all(not cx.frame.project(cx.frame.d_alpha[k], 0, 2) for k in range(HOLO)):
         raise AssertionError("integrability cross-check failed")
-    if not vanishes:
-        return None
-    if not cx.frame.integrable():  # d^2 = 0 too, as from_real checks
+    if vanishes and not cx.frame.integrable():  # d^2 = 0 too, as from_real checks
         raise ValueError("J is not integrable")
-    return cx
+    return cx if vanishes else None
 
 
 def coframe_from_J(g: LieAlgebra, J: Sequence[Sequence]) -> list[Form]:
@@ -206,12 +208,8 @@ class ComplexFrame:
 
     def integrable(self) -> bool:
         """No (0,2) component in d alpha^k, and d^2 = 0."""
-        for k in range(HOLO):
-            if self.project(self.d_alpha[k], 0, 2):
-                return False
-            if self.d(self.d_alpha[k]):
-                return False
-        return True
+        return not any(self.project(self.d_alpha[k], 0, 2) or self.d(self.d_alpha[k])
+                       for k in range(HOLO))
 
 
 # ---------------------------------------------------------------------------

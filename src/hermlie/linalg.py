@@ -53,10 +53,6 @@ def rref(mat: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     return a, pivots
 
 
-def rank(mat: Sequence[Sequence]) -> int:
-    return len(rref(mat)[1])
-
-
 def nullspace(mat: Sequence[Sequence], ncols: Optional[int] = None) -> list[Vector]:
     """Basis of the right kernel."""
     if not mat:

@@ -84,16 +84,17 @@ def add_term(coeffs: dict, key, term) -> None:
 
 
 def _power(base, n: int, one):
-    """``base ** n`` by square-and-multiply, starting from ``one``."""
+    """``base ** n`` by square-and-multiply from ``one``, squaring only below the top bit."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("only nonnegative integer powers")
     out = one
-    while n:
+    while True:
         if n & 1:
             out = out * base
-        base = base * base
         n >>= 1
-    return out
+        if not n:
+            return out
+        base = base * base
 
 
 class GaussianRational:

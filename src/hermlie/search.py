@@ -71,10 +71,11 @@ __all__ = [
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("HERMLIE_SEED", "0")
     try:
-        return int(os.environ.get("HERMLIE_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"HERMLIE_SEED must be an integer, not {raw!r}") from None
 
 
 @dataclass

@@ -34,7 +34,7 @@ from hermlie.catalog import (
     negative_controls,
     verify_example,
 )
-from hermlie.cpx import apply_matrix, generic_j_ring, instantiate_family, nijenhuis
+from hermlie.cpx import generic_j_ring, instantiate_family, nijenhuis
 from hermlie.forms import Form, all_index_tuples
 from hermlie.herm import (
     CHECKERS,
@@ -141,7 +141,7 @@ def test_twisted_example_details():
         c = H.contract(e_i)
         rows.append([GaussianRational.coerce(c.coeffs.get(s, GR_ZERO))
                      for s in slots])
-    assert linalg.rank(rows) == 6
+    assert len(linalg.rref(rows)[1]) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +263,11 @@ def _cx_strategy():
     return st.sampled_from(catalog_complexifications())
 
 
+def _apply(J, v):
+    """The vector J v."""
+    return [sum((J[i][j] * v[j] for j in range(len(v))), GR_ZERO) for i in range(len(J))]
+
+
 def _pure_type_form(draw, frame_dim=6):
     p = draw(st.integers(min_value=0, max_value=2))
     q = draw(st.integers(min_value=0, max_value=2))
@@ -346,7 +351,7 @@ class TestPropertySuites:
         X = data.draw(rational_vectors())
         Y = data.draw(rational_vectors())
         Z = data.draw(rational_vectors())
-        jx, jy, jz = (apply_matrix(cx.J, v) for v in (X, Y, Z))
+        jx, jy, jz = (_apply(cx.J, v) for v in (X, Y, Z))
         lhs = GaussianRational.coerce(H_real.evaluate(X, Y, Z))
         rhs = -GaussianRational.coerce(dom.evaluate(jx, jy, jz))
         assert lhs == rhs

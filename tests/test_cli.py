@@ -245,6 +245,14 @@ class TestSearch:
         assert err.startswith("error: ") and "Traceback" not in err
         assert out == ""
 
+    def test_malformed_seed_from_the_environment(self, capsys, monkeypatch):
+        # not silently seed 0: an input error, like a negative seed
+        monkeypatch.setenv("HERMLIE_SEED", "abc")
+        code, out, err = run(capsys, "search", "s6.25")
+        assert code == 2
+        assert err == "error: HERMLIE_SEED must be an integer, not 'abc'\n"
+        assert out == ""
+
 
 class TestObstruction:
     def test_tampered_step_fails_without_traceback(self, capsys, tampered_lcskt_row):

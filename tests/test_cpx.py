@@ -1,4 +1,5 @@
 """Complex structures, complex coframes, and the named structure families."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from hermlie.catalog import list_entries
 from hermlie.cpx import (
     Complexification,
-    apply_matrix,
     conj_alpha,
+    generic_j_ring,
     instantiate_family,
     is_integrable,
     j_from_images,
@@ -21,6 +22,43 @@ from hermlie.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
 
 ABELIAN = parse_structure_equations("(0, 0, 0, 0, 0, 0)")
 CONTROL = parse_structure_equations("(f35+f16, f45-f26, f36, -f46, 0, 0)")
+ALGEBRAS = [e.algebra_instance() for e in list_entries(include_controls=True)]
+
+
+def apply_matrix(J, v):
+    """The vector J v, one entry at a time."""
+    return [sum((J[i][j] * v[j] for j in range(len(v))), GR_ZERO) for i in range(len(J))]
+
+
+def nijenhuis_oracle(g, J):
+    """N(f_a, f_b) = [f_a, f_b] + J[J f_a, f_b] + J[f_a, J f_b] - [J f_a, J f_b],
+    for a < b, from brackets of the basis vectors and their images under J."""
+    n = g.dim
+    e = [[GR_ONE if t == i else GR_ZERO for t in range(n)] for i in range(n)]
+    je = [apply_matrix(J, v) for v in e]
+    out = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            terms = zip(g.bracket(e[a], e[b]), apply_matrix(J, g.bracket(je[a], e[b])),
+                        apply_matrix(J, g.bracket(e[a], je[b])), g.bracket(je[a], je[b]))
+            out[(a + 1, b + 1)] = [x + y + z - w for x, y, z, w in terms]
+    return out
+
+
+def assert_nijenhuis_matches_oracle(g, J, ring=None):
+    """``nijenhuis`` equals the oracle component by component: exact
+    ``GaussianRational``s for a scalar J, polynomials of ``ring`` otherwise."""
+    got, want = nijenhuis(g, J), nijenhuis_oracle(g, J)
+    assert got.keys() == want.keys()
+    for key, comps in want.items():
+        assert len(got[key]) == len(comps)
+        for i, (x, y) in enumerate(zip(got[key], comps)):
+            if ring is None:
+                assert type(x) is GaussianRational, (g.name, key, i)
+                assert x == GaussianRational.coerce(y), (g.name, key, i)
+            else:
+                assert ring.coerce(x) == ring.coerce(y), (g.name, key, i)
+    return got
 
 
 class TestJMatrices:
@@ -54,10 +92,6 @@ class TestJMatrices:
                     moved[i][j] = moved[i][j] + Fraction(1, 7)
                     assert squares_to_minus_id(moved) == full_square_is_minus_id(moved)
 
-    def test_apply_matrix(self):
-        v = apply_matrix(standard_j(6), [GR_ONE] + [GR_ZERO] * 5)
-        assert v[1] == GR_ONE and not any(v[:1] + v[2:])
-
 
 class TestIntegrability:
     def test_abelian_always_integrable(self):
@@ -83,6 +117,32 @@ class TestIntegrability:
         # N is antisymmetric in its arguments; keys cover i < j only
         nj = nijenhuis(CONTROL, standard_j(6))
         assert set(nj) == {(i, j) for i in range(1, 7) for j in range(i + 1, 7)}
+
+    def test_nijenhuis_matches_the_definition_on_every_golden_j(self):
+        stock = [(e.algebra_instance(), ex.j()) for e in list_entries() for ex in e.examples]
+        assert len(stock) == 55
+        for g, J in stock:
+            got = assert_nijenhuis_matches_oracle(g, J)
+            assert not any(c for comps in got.values() for c in comps), g.name
+
+    def test_nijenhuis_matches_the_definition_on_dense_rational_j(self):
+        # dense J with Fraction and int entries, three per algebra: almost
+        # none is integrable, so every term of N shows in some component
+        rng = random.Random(24)
+        nonzero = 0
+        for g in ALGEBRAS:
+            for _ in range(3):
+                J = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.5
+                      else rng.randint(-3, 3) for _ in range(6)] for _ in range(6)]
+                got = assert_nijenhuis_matches_oracle(g, J)
+                nonzero += any(c for comps in got.values() for c in comps)
+        assert nonzero >= 3 * len(ALGEBRAS) - 10
+
+    def test_nijenhuis_matches_the_definition_on_a_generic_j(self):
+        # the symbolic J of the "complex" obstruction rows, on every algebra
+        for g in ALGEBRAS:
+            ring, J = generic_j_ring(6)
+            assert_nijenhuis_matches_oracle(g, J, ring)
 
 
 class TestComplexification:

@@ -17,6 +17,7 @@ from hermlie.scalars import (
     GR_ZERO,
     GaussianRational,
     PolyRing,
+    _power,
     conj_scalar,
     im_part,
     re_part,
@@ -284,6 +285,23 @@ class TestPolyRing:
         assert x ** 0 == r.one()
         with pytest.raises(ValueError):
             x ** -1
+
+    def test_power_stops_squaring_at_the_top_bit(self):
+        # one product per set bit and one squaring per bit below the top one
+        class Counted:
+            products = 0
+
+            def __init__(self, value):
+                self.value = value
+
+            def __mul__(self, other):
+                Counted.products += 1
+                return Counted(self.value * other.value)
+
+        for n in range(34):
+            Counted.products = 0
+            assert _power(Counted(3), n, Counted(1)).value == 3 ** n
+            assert Counted.products == max(bin(n).count("1") + n.bit_length() - 1, 0), n
 
     def test_substitute_partial(self):
         r = self.ring()

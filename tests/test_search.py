@@ -57,8 +57,9 @@ class TestConfig:
     def test_seed_env_default(self, monkeypatch):
         monkeypatch.setenv("HERMLIE_SEED", "17")
         assert SearchConfig().seed == 17
-        monkeypatch.setenv("HERMLIE_SEED", "junk")
-        assert SearchConfig().seed == 0
+        monkeypatch.setenv("HERMLIE_SEED", "junk")  # an error, not silently seed 0
+        with pytest.raises(ValueError, match="HERMLIE_SEED must be an integer"):
+            SearchConfig()
 
 
 class TestResidualKernels:
