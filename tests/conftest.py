@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hermlie import Complexification, obstructions
 from hermlie.catalog import list_entries
 from hermlie.forms import Form, all_index_tuples
-from hermlie.scalars import GaussianRational
+from hermlie.scalars import GR_ZERO, GaussianRational
 
 # ---------------------------------------------------------------------------
 # exact-scalar strategies
@@ -39,6 +39,11 @@ def exact_forms(draw, dim=6, degree=None, max_terms=4):
 @st.composite
 def rational_vectors(draw, dim=6):
     return [draw(small_fractions) for _ in range(dim)]
+
+
+def apply_matrix(J, v):
+    """The vector J v, one entry at a time (exact or symbolic entries)."""
+    return [sum((J[i][j] * v[j] for j in range(len(v))), GR_ZERO) for i in range(len(J))]
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from hermlie.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, PolyRing
 from hermlie.search import SearchConfig, classification_sweep, find_complex_structure
 
 from tests.conftest import (
+    apply_matrix,
     catalog_complexifications,
     exact_forms,
     gaussian_rationals,
@@ -263,11 +264,6 @@ def _cx_strategy():
     return st.sampled_from(catalog_complexifications())
 
 
-def _apply(J, v):
-    """The vector J v."""
-    return [sum((J[i][j] * v[j] for j in range(len(v))), GR_ZERO) for i in range(len(J))]
-
-
 def _pure_type_form(draw, frame_dim=6):
     p = draw(st.integers(min_value=0, max_value=2))
     q = draw(st.integers(min_value=0, max_value=2))
@@ -351,7 +347,7 @@ class TestPropertySuites:
         X = data.draw(rational_vectors())
         Y = data.draw(rational_vectors())
         Z = data.draw(rational_vectors())
-        jx, jy, jz = (_apply(cx.J, v) for v in (X, Y, Z))
+        jx, jy, jz = (apply_matrix(cx.J, v) for v in (X, Y, Z))
         lhs = GaussianRational.coerce(H_real.evaluate(X, Y, Z))
         rhs = -GaussianRational.coerce(dom.evaluate(jx, jy, jz))
         assert lhs == rhs

@@ -19,15 +19,11 @@ from hermlie.cpx import (
 from hermlie.forms import Form, all_index_tuples
 from hermlie.liealg import ce_differential, parse_structure_equations
 from hermlie.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
+from tests.conftest import apply_matrix
 
 ABELIAN = parse_structure_equations("(0, 0, 0, 0, 0, 0)")
 CONTROL = parse_structure_equations("(f35+f16, f45-f26, f36, -f46, 0, 0)")
 ALGEBRAS = [e.algebra_instance() for e in list_entries(include_controls=True)]
-
-
-def apply_matrix(J, v):
-    """The vector J v, one entry at a time."""
-    return [sum((J[i][j] * v[j] for j in range(len(v))), GR_ZERO) for i in range(len(J))]
 
 
 def nijenhuis_oracle(g, J):
