@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
-"""Time the exact layer on the ``certify`` path: obstruction replay, golden
-examples, the Nijenhuis tensor and d of a basis monomial.
+"""Time the exact layer on the ``certify`` path: start-up, obstruction
+replay, golden examples, the Nijenhuis tensor and d of a basis monomial.
 
     python3 scripts/exact_layer.py
 
-It prints four tables:
+It prints five tables:
+
+* ``startup``: for ``import hermlie`` and three CLI commands, the median
+  wall time of 9 fresh interpreters, each timed from outside, from its start
+  to its exit, and whether the command loaded numpy (any ``numpy.*``
+  submodule).  The exact commands should not; ``hermlie search`` does, at
+  its first float call, so its row shows where the import went;
 
 * ``replay``: per obstruction row of ``obstructions.obstruction_table``,
   named by its family (its algebra when it has none) and condition, its
@@ -31,15 +37,24 @@ Run it at two commits on the same machine and compare the columns.
 from __future__ import annotations
 
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from hermlie import catalog, cpx, forms, obstructions  # noqa: E402
 
 REPEATS = 5
+STARTUP_RUNS = 9
+STARTUP = {
+    "import hermlie": None,
+    "hermlie obstruction s6.154^0 lck": ["obstruction", "s6.154^0", "lck"],
+    "hermlie verify-catalog": ["verify-catalog"],
+    "hermlie search s6.25": ["search", "s6.25"],
+}
 
 
 def median_ms(fn, arg):
@@ -51,6 +66,22 @@ def median_ms(fn, arg):
         out = fn(arg)
         times.append(time.perf_counter() - t0)
     return statistics.median(times) * 1e3, out
+
+
+def startup_table() -> None:
+    print(f"{'startup':34s} {'median s':>9s} {'numpy':>6s}")
+    for label, argv in STARTUP.items():
+        code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import hermlie\n"
+                + (f"import hermlie.cli; hermlie.cli.main({argv!r})\n" if argv else "")
+                + "print(any(m.startswith('numpy.') for m in sys.modules))")
+        times = []
+        for _ in range(STARTUP_RUNS):
+            t0 = time.perf_counter()
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                 text=True, check=True)
+            times.append(time.perf_counter() - t0)
+        numpy = out.stdout.splitlines()[-1] == "True"
+        print(f"{label:34s} {statistics.median(times):9.3f} {'yes' if numpy else 'no':>6s}")
 
 
 def replay_table(rows) -> None:
@@ -122,6 +153,8 @@ def monomial_table(rows, examples) -> None:
 def main() -> int:
     rows = obstructions.obstruction_table()
     examples = [ex for entry in catalog.list_entries() for ex in entry.examples]
+    startup_table()
+    print()
     replay_table(rows)
     print()
     verify_example_table(examples)

@@ -117,22 +117,23 @@ def lee_form(cx: Complexification, omega: Form) -> Form:
     """Unique real 1-form theta with d omega^2 = theta ^ omega^2.
 
     omega is given in the complex coframe and theta is returned in the real
-    one.  The last (omega, theta) pair is kept on ``cx``, so ``check_lck``
-    reuses the theta ``check_lcb`` solved for; it is served only while omega
+    one.  The system is solved in the complex coframe, where omega^2 is of
+    type (2,2): the six columns alpha^i ^ omega^2 fill the (3,2) and (2,3)
+    monomials, three each, and only theta is mapped to the real coframe.
+    The last (omega, theta) pair is kept on ``cx``, so ``check_lck`` reuses
+    the theta ``check_lcb`` solved for; it is served only while omega
     equals the copy taken when theta was solved, so an omega mutated in
     place since is solved again.
     """
     if cx._lee is not None and cx._lee[0] == omega:
         return cx._lee[1]
-    n = cx.g.dim
-    om_real = cx.to_real(omega)
-    om2 = om_real.wedge(om_real)
-    dom2 = ce_differential(cx.g, om2)
+    n = omega.dim
+    om2 = omega.wedge(omega)
     cols = [Form.basis(n, (i,)).wedge(om2) for i in range(1, n + 1)]
-    sol = linalg.solve(*_system(cols, dom2))
+    sol = linalg.solve(*_system(cols, cx.frame.d(om2)))
     if sol is None:
         raise ValueError("omega^2 is degenerate; no Lee form")
-    theta = Form(n, 1, {(i + 1,): sol[i] for i in range(n)})
+    theta = cx.to_real(Form(n, 1, {(i + 1,): sol[i] for i in range(n)}))
     cx._lee = (Form(omega.dim, omega.degree, omega.coeffs), theta)
     return theta
 

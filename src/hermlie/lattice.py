@@ -22,9 +22,8 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import linalg
+from ._lazy import np
 from .scalars import GaussianRational
 from .liealg import LieAlgebra, find_nilradical, parse_form, parse_scalar
 from .catalog import get_entry

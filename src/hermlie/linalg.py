@@ -90,7 +90,7 @@ def solve(mat: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
 def inverse(mat: Sequence[Sequence]) -> Matrix:
     a = coerce_matrix(mat)
     n = len(a)
-    aug = [a[i] + identity(n)[i] for i in range(n)]
+    aug = [row + unit for row, unit in zip(a, identity(n))]
     r, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, _reduced
 from .forms import Form, all_index_tuples
 from .liealg import LieAlgebra
@@ -471,20 +470,22 @@ class _MetricResidual:
         return resid, off - u @ (u.T @ off + back / sv[:, None])
 
 
-#: Flat positions, row by row in the (10, 9) Jacobian of :func:`_p_from_raw`,
-#: of its 38 entries that are not identically zero.
-_JAC_NONZERO = np.array([
-    0,
-    10, 12, 13,
-    20, 23, 24, 25, 26,
-    28, 30, 31, 32, 33, 35,
-    37, 39, 40, 41, 42, 43,
-    45, 51,
-    54, 59,
-    63, 67,
-    72, 75,
-    81, 82, 83, 84, 85, 86, 87, 88, 89,
-])
+@functools.cache
+def _jac_nonzero() -> np.ndarray:
+    """Flat positions, row by row in the (10, 9) Jacobian of :func:`_p_from_raw`,
+    of its 38 entries that are not identically zero, built on first use."""
+    return np.array([
+        0,
+        10, 12, 13,
+        20, 23, 24, 25, 26,
+        28, 30, 31, 32, 33, 35,
+        37, 39, 40, 41, 42, 43,
+        45, 51,
+        54, 59,
+        63, 67,
+        72, 75,
+        81, 82, 83, 84, 85, 86, 87, 88, 89,
+    ])
 
 
 def _p_from_raw(raw: np.ndarray):
@@ -505,7 +506,7 @@ def _p_from_raw(raw: np.ndarray):
     p = np.array([*lams, ur * vi - ui * vr + b * wi, ur * vr + ui * vi + b * wr,
                   a * vi, a * vr, a * ui, a * ur])
     jac = np.zeros(90)
-    jac[_JAC_NONZERO] = (
+    jac[_jac_nonzero()] = (
         2 * a * da,
         2 * b * db, 2 * ur, 2 * ui,
         2 * c * dc, 2 * vr, 2 * vi, 2 * wr, 2 * wi,

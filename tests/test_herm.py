@@ -7,14 +7,16 @@ catalog structures whose values are recomputed here by hand (the torsion
 pluriclosed example have short closed-form expressions).
 """
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hermlie import Complexification
+from hermlie import Complexification, linalg
 from hermlie.catalog import get_entry, list_entries
-from hermlie.forms import Form
+from hermlie.forms import Form, all_index_tuples
 from hermlie.herm import (
     CHECKERS,
     HermitianMetric,
@@ -32,6 +34,11 @@ from hermlie.herm import (
 )
 from hermlie.liealg import ce_differential
 from hermlie.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
+from hermlie.search import entry_complexification
+
+# the benchmark's session workload draws its seeded metrics from its pools
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench import workloads  # noqa: E402
 
 
 def example_cx(name, condition):
@@ -55,6 +62,20 @@ def gram_verdict(cx, omega_real, margin=1e-9):
         return False
     low = np.linalg.eigvalsh(G.real).min()
     return None if abs(low) <= margin else bool(low > 0)
+
+
+def real_coframe_lee_form(cx, omega):
+    """The Lee form by its definition in the real coframe: the unique theta
+    with d omega^2 = theta ^ omega^2, one row per real 5-form monomial."""
+    om_real = cx.to_real(omega)
+    om2 = om_real.wedge(om_real)
+    dom2 = ce_differential(cx.g, om2)
+    cols = [Form.basis(6, (i,)).wedge(om2) for i in range(1, 7)]
+    keys = all_index_tuples(6, 5)
+    mat = [[c.coeff(*k) for c in cols] for k in keys]
+    assert not linalg.nullspace(mat)
+    sol = linalg.solve(mat, [dom2.coeff(*k) for k in keys])
+    return Form(6, 1, {(i + 1,): sol[i] for i in range(6)})
 
 
 def gr(re, im=0):
@@ -164,6 +185,22 @@ class TestDerivedQuantities:
         assert theta == Form(6, 1, {(5,): GR_ONE})
         om2 = cx.to_real(om).wedge(cx.to_real(om))
         assert ce_differential(cx.g, om2) == theta.wedge(om2)
+
+    @pytest.mark.parametrize("ex", [ex for e in list_entries() for ex in e.examples
+                                    if ex.omega], ids=lambda ex: ex.algebra)
+    def test_lee_form_matches_real_coframe_on_golden_examples(self, ex):
+        g, J, om_real, _ = ex.parse()
+        cx = Complexification.from_real(g, J)
+        om = cx.to_alpha(om_real)
+        assert repr(lee_form(cx, om)) == repr(real_coframe_lee_form(cx, om))
+
+    def test_lee_form_matches_real_coframe_on_the_session_pools(self):
+        for entry in list_entries():
+            cx = entry_complexification(entry)
+            for i in range(workloads.METRIC_POOL):
+                om = fundamental_form(workloads.pool_metric(entry.name, i))
+                theta = lee_form(cx, om)
+                assert repr(theta) == repr(real_coframe_lee_form(cx, om)), (entry.name, i)
 
     def test_lee_form_memo_is_never_stale(self):
         # theta is served from the last call only while omega is unchanged

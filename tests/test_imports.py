@@ -41,11 +41,18 @@ def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_import_does_not_load_scipy():
-    # only the lattice probe needs scipy; a fresh interpreter shows what
-    # ``import hermlie`` alone loads
+@pytest.mark.parametrize("argv", [None, ["obstruction", "s6.154^0", "lck"], ["verify-catalog"]],
+                         ids=["import", "obstruction", "verify-catalog"])
+def test_exact_paths_load_no_numpy_or_scipy(argv):
+    # only the float search and the lattice probe need numpy and scipy; a
+    # fresh interpreter shows what ``import hermlie`` and an exact command
+    # load.  The lazy numpy placeholder sits in sys.modules from the import
+    # on, so numpy counts as loaded once any of its submodules is.
     src = str(Path(hermlie.__file__).resolve().parent.parent)
-    code = f"import sys; sys.path.insert(0, {src!r}); import hermlie; print('scipy' in sys.modules)"
+    call = f"hermlie.cli.main({argv!r})" if argv else "0"
+    code = (f"import sys; sys.path.insert(0, {src!r}); import hermlie.cli\n"
+            f"code = {call}\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('numpy.', 'scipy'))), code)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[] 0"
