@@ -11,7 +11,6 @@ It prints five tables:
   to its exit, and whether the command loaded numpy (any ``numpy.*``
   submodule).  The exact commands should not; ``hermlie search`` does, at
   its first float call, so its row shows where the import went;
-
 * ``replay``: per obstruction row of ``obstructions.obstruction_table``,
   named by its family (its algebra when it has none) and condition, its
   ``runs`` (contexts times branches) and the median over 5 runs of one

@@ -4,7 +4,8 @@ Oracles: metric positivity against numerical eigenvalues, of the 3x3 Hermitian
 matrix and of the real Gram matrix omega(X, JY); torsion/Lee forms on
 catalog structures whose values are recomputed here by hand (the torsion
 3-form of the s6.154^0 twisted example and the Lee form of the s5.4^0+R
-pluriclosed example have short closed-form expressions).
+pluriclosed example have short closed-form expressions), and the Lee form
+against its definition solved in the real coframe.
 """
 import random
 import sys
