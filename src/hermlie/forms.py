@@ -168,29 +168,6 @@ class Form:
                 add_term(coeffs, key, -term if sign == -1 else term)
         return Form._of(self.dim, self.degree + other.degree, coeffs)
 
-    def contract(self, vector: Sequence) -> "Form":
-        """Interior product with a vector given by components in f_1..f_dim."""
-        if self.degree == 0:
-            raise ValueError("cannot contract a 0-form")
-        coeffs: dict[tuple, object] = {}
-        for key, c in self.coeffs.items():
-            for t, idx in enumerate(key):
-                v = vector[idx - 1]
-                if not v:
-                    continue
-                term = c * v
-                add_term(coeffs, key[:t] + key[t + 1:], -term if t % 2 else term)
-        return Form._of(self.dim, self.degree - 1, coeffs)
-
-    def evaluate(self, *vectors: Sequence):
-        """Evaluate on ``degree`` many vectors."""
-        if len(vectors) != self.degree:
-            raise ValueError("wrong number of vectors")
-        f = self
-        for v in vectors:
-            f = f.contract(v)
-        return f.coeffs.get((), 0)
-
     # -- display --------------------------------------------------------
     def __repr__(self):
         if not self.coeffs:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from . import linalg
 from .cpx import HOLO, Complexification, ComplexFrame, monomial_type
@@ -131,7 +131,7 @@ def lee_form(cx: Complexification, omega: Form) -> Form:
     om2 = omega.wedge(omega)
     cols = [Form.basis(n, (i,)).wedge(om2) for i in range(1, n + 1)]
     sol = linalg.solve(*_system(cols, cx.frame.d(om2)))
-    if sol is None:
+    if not sol:  # None, or [] when omega^2 = 0 leaves no equation
         raise ValueError("omega^2 is degenerate; no Lee form")
     theta = cx.to_real(Form(n, 1, {(i + 1,): sol[i] for i in range(n)}))
     cx._lee = (Form(omega.dim, omega.degree, omega.coeffs), theta)
@@ -163,6 +163,70 @@ def closed_one_forms(cx: Complexification) -> list[Form]:
 
 
 # ---------------------------------------------------------------------------
+# the equation of each condition
+
+
+@dataclass(frozen=True)
+class Equation:
+    """One condition's equation on the fundamental form omega.
+
+    The operator takes ``arity`` forms (two where the condition is quadratic
+    in omega) to a ``degree``-form: d of ``inner(frame, *omega)`` if given,
+    else ``operator(frame, *omega)``.  The condition asks that it vanish, or
+    be d of a combination of the basis forms keyed by ``potentials``, or,
+    when ``twisted``, be mu ^ inner for a closed real 1-form mu.
+    """
+
+    degree: int
+    arity: int = 1
+    inner: Optional[Callable] = None
+    operator: Optional[Callable] = None
+    potentials: tuple = ()
+    twisted: bool = False
+
+    def at(self, frame: ComplexFrame, *omega: Form) -> tuple:
+        """The operator at ``omega`` (one form stands for all ``arity`` of
+        them) and the form it is d of, or None without ``inner``."""
+        if len(omega) == 1:
+            omega *= self.arity
+        if self.inner is None:
+            return self.operator(frame, *omega), None
+        inner = self.inner(frame, *omega)
+        return frame.d(inner), inner
+
+    def columns(self, frame: ComplexFrame) -> list[Form]:
+        """d beta_k for each potential beta_k."""
+        return [frame.d(Form.basis(6, key, GR_ONE)) for key in self.potentials]
+
+
+def _half_torsion(frame: ComplexFrame, omega: Form) -> Form:
+    """(dbar - del) omega / 2 = -i H / 2, whose d is del dbar omega."""
+    d = frame.d(omega)
+    return (frame.project(d, 1, 2) - frame.project(d, 2, 1)) * Fraction(1, 2)
+
+
+#: Every condition's equation.  d of a (2,0)-form has no (1,2) part and d of
+#: a (3,1)-form only a (3,2) part, so the potentials give tamed its del omega
+#: = dbar beta with del beta = 0, and strongly Gauduchon its del omega^2 =
+#: dbar beta.  SKT asks del dbar omega = 0, which is dH = 2i del dbar omega = 0.
+EQUATIONS = {
+    "kahler": Equation(3, inner=lambda frame, om: om),
+    "skt": Equation(4, inner=_half_torsion),
+    "balanced": Equation(5, 2, inner=lambda frame, a, b: a.wedge(b)),
+    "lcb": Equation(5, 2, inner=lambda frame, a, b: a.wedge(b), twisted=True),
+    "lck": Equation(3, inner=lambda frame, om: om, twisted=True),
+    "lcskt": Equation(4, inner=torsion_H, twisted=True),
+    "first_gauduchon": Equation(
+        6, 2, operator=lambda frame, a, b: frame.del_(frame.dbar(a)).wedge(b)),
+    "strongly_gauduchon": Equation(
+        5, 2, operator=lambda frame, a, b: frame.del_(a.wedge(b)),
+        potentials=((1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6))),
+    "tamed": Equation(3, operator=lambda frame, om: frame.del_(om),
+                      potentials=((1, 2), (1, 3), (2, 3))),
+}
+
+
+# ---------------------------------------------------------------------------
 # condition reports
 
 
@@ -178,21 +242,19 @@ class ConditionReport:
 
 
 def check_kahler(cx: Complexification, omega: Form) -> ConditionReport:
-    d = cx.frame.d(omega)
+    d = EQUATIONS["kahler"].at(cx.frame, omega)[0]
     return ConditionReport("kahler", not d,
                            certificate={} if d else {"d_omega": "0"})
 
 
 def check_skt(cx: Complexification, omega: Form) -> ConditionReport:
-    H = torsion_H(cx.frame, omega)
-    dH = cx.frame.d(H)
-    return ConditionReport("skt", not dH,
-                           certificate={"H_zero": not H})
+    ddbar, half_torsion = EQUATIONS["skt"].at(cx.frame, omega)
+    return ConditionReport("skt", not ddbar,
+                           certificate={"H_zero": not half_torsion})
 
 
 def check_balanced(cx: Complexification, omega: Form) -> ConditionReport:
-    om2 = omega.wedge(omega)
-    return ConditionReport("balanced", not cx.frame.d(om2))
+    return ConditionReport("balanced", not EQUATIONS["balanced"].at(cx.frame, omega)[0])
 
 
 def check_lcb(cx: Complexification, omega: Form) -> ConditionReport:
@@ -270,47 +332,28 @@ def verify_twisted_certificate(cx: Complexification, omega: Form, mu: Form) -> b
     return ce_differential(cx.g, H_real) == mu.wedge(H_real)
 
 
-def first_gauduchon_coefficient(frame: ComplexFrame, omega: Form):
-    """Coefficient of a^{1 conj1 2 conj2 3 conj3} in (del dbar omega) ^ omega."""
-    ddbar = frame.project(frame.d(frame.project(frame.d(omega), 1, 2)), 2, 2)
-    return ddbar.wedge(omega).coeff(1, 4, 2, 5, 3, 6)
-
-
 def check_first_gauduchon(cx: Complexification, omega: Form) -> ConditionReport:
-    # the certificate is the coefficient of a^{123 conj1 conj2 conj3}, which is
-    # minus that of a^{1 conj1 2 conj2 3 conj3}
-    c = -first_gauduchon_coefficient(cx.frame, omega)
+    # the certificate is the coefficient of a^{123 conj1 conj2 conj3}
+    top = EQUATIONS["first_gauduchon"].at(cx.frame, omega)[0]
+    c = top.coeffs.get((1, 2, 3, 4, 5, 6), 0)
     return ConditionReport("first_gauduchon", not c,
                            certificate={"top_coefficient": repr(c)})
 
 
-def strongly_gauduchon_columns(frame: ComplexFrame) -> list[Form]:
-    """dbar beta for the (3,1)-forms beta = a^{123 conjk}: strongly Gauduchon
-    asks for a combination equal to del omega^2."""
-    return [frame.dbar(Form(6, 4, {(1, 2, 3, _bar(k)): GR_ONE})) for k in (1, 2, 3)]
-
-
-def tamed_columns(frame: ComplexFrame) -> list[Form]:
-    """d beta for the (2,0)-forms beta = a^{12}, a^{13}, a^{23}: tamed asks
-    for a combination whose (2,1) part dbar beta is del omega and whose (3,0)
-    part del beta vanishes; the two parts sit on disjoint monomials."""
-    cols = []
-    for key in ((1, 2), (1, 3), (2, 3)):
-        db = frame.d(Form(6, 2, {key: GR_ONE}))
-        cols.append(frame.project(db, 2, 1) + frame.project(db, 3, 0))
-    return cols
+def _check_potential(cx: Complexification, condition: str, omega: Form,
+                     notes: str = "") -> ConditionReport:
+    """Is the condition's operator at omega d of a combination of its
+    potentials?  The certificate holds the coefficients of one."""
+    eq = EQUATIONS[condition]
+    sol = linalg.solve(*_system(eq.columns(cx.frame), eq.at(cx.frame, omega)[0]))
+    cert = {} if sol is None else {"beta_coefficients": [repr(c) for c in sol]}
+    return ConditionReport(condition, sol is not None, certificate=cert, notes=notes)
 
 
 def check_strongly_gauduchon(cx: Complexification, omega: Form) -> ConditionReport:
     """del(omega^2) is dbar-exact: solve dbar beta = del omega^2 with beta a
     (3,1)-form."""
-    frame = cx.frame
-    target = frame.project(frame.d(omega.wedge(omega)), 3, 2)
-    sol = linalg.solve(*_system(strongly_gauduchon_columns(frame), target))
-    cert = {}
-    if sol is not None:
-        cert = {"beta_coefficients": [repr(c) for c in sol]}
-    return ConditionReport("strongly_gauduchon", sol is not None, certificate=cert)
+    return _check_potential(cx, "strongly_gauduchon", omega)
 
 
 def check_tamed(cx: Complexification, omega: Form) -> ConditionReport:
@@ -319,14 +362,8 @@ def check_tamed(cx: Complexification, omega: Form) -> ConditionReport:
     Solvability of this system is the obstruction used for taming symplectic
     forms; it is meaningful alongside an SKT metric, noted in the report.
     """
-    frame = cx.frame
-    del_om = frame.project(frame.d(omega), 2, 1)
-    sol = linalg.solve(*_system(tamed_columns(frame), del_om))
-    return ConditionReport(
-        "tamed", sol is not None,
-        certificate={"beta_coefficients": [repr(c) for c in sol]} if sol is not None else {},
-        notes="linear taming obstruction; evaluated alongside an SKT metric",
-    )
+    return _check_potential(cx, "tamed", omega,
+                            notes="linear taming obstruction; evaluated alongside an SKT metric")
 
 
 CHECKERS = {

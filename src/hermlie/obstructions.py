@@ -21,12 +21,16 @@ complex structure equations (one row per family branch).  Their final step
 exhibits a value that cannot vanish on the positivity cone (l's > 0,
 l_j l_k > |w_i|^2), or shows that the twisting 1-form is forced to vanish.
 
-The condition picks the residual (xi: coefficient of the *sorted* monomial):
+The residual is the operator of the condition's ``herm.EQUATIONS`` entry at
+that omega, less its twist or potential (xi: coefficient of the monomial,
+sorted with its sign):
   - lcskt: d(H) - mu ^ H with H = d^c omega (rules out SKT too unless mu is forced to 0)
   - lck: d(omega) - mu ^ omega; in both, mu is a closed :class:`Twist` (unknowns, builder)
-  - strongly_gauduchon: del(omega^2) - dbar(beta), beta = a^{123} ^ (sum b_k a^{k'})
-  - first_gauduchon: the a^{11'22'33'} coefficient of del dbar omega ^ omega
-  - tamed: del(omega) - dbar(beta), beta a del-closed (2,0)-form
+  - strongly_gauduchon: del(omega^2) - sum_k b_k dbar(a^{123k'}), b_k complex
+  - first_gauduchon: del dbar omega ^ omega, read at its a^{11'22'33'} coefficient
+  - tamed: del(omega) - sum_k b_k (dbar + del)(a^{jk}) over a^{12}, a^{13} and
+    a^{23}, b_k complex, so the (3,0) part del beta of the potential is in the
+    residual too
   - complex: the pair (N, J^2) of a fully generic J on the catalog structure
     equations of each algebra the row names, read with ``n(i, j, k)`` and
     ``j2(i, j)``.  Every branch ends in a sign contradiction with J^2 = -Id.
@@ -49,8 +53,7 @@ from typing import Callable, Optional
 from .catalog import get_entry
 from .cpx import instantiate_family, nijenhuis, generic_j_ring
 from .forms import Form
-from .herm import (CHECKERS, HermitianMetric, fundamental_form, first_gauduchon_coefficient,
-                   torsion_H)
+from .herm import CHECKERS, EQUATIONS, HermitianMetric, fundamental_form
 from .scalars import (GR_I, GaussianRational, Poly, PolyRing, conj_scalar, im_part,
                       re_part)
 
@@ -68,7 +71,7 @@ class ReplayContext:
     def __init__(self, ring: PolyRing, params: dict):
         self.ring = ring
         self.params = params
-        self.residual = None  # Form, scalar or (N, J^2), set by _contexts
+        self.residual = None  # Form or (N, J^2), set by _contexts
         self.subs: dict = {}
 
     def enter(self, assume: tuple):
@@ -108,10 +111,6 @@ class ReplayContext:
         """Coefficient of the sorted alpha-monomial, current substitutions
         applied.  Conjugate slots use indices 4, 5, 6 for 1', 2', 3'."""
         return self._apply(self.residual.coeff(*indices))
-
-    def value(self):
-        """The residual itself when it is a scalar (first-Gauduchon rows)."""
-        return self._apply(self.residual)
 
     def n(self, i: int, j: int, k: int):
         """The f_k-component of N(f_i, f_j), i < j (Nijenhuis rows)."""
@@ -217,15 +216,11 @@ def rules_out(row: ObstructionRow) -> set:
 # residual builders
 
 
-#: (real, complex) unknowns of beta in the strongly Gauduchon and tamed residuals
-_POTENTIAL = {"strongly_gauduchon": (("b1", "b2", "b3"), ()), "tamed": ((), ("b1", "b2"))}
-
-
 def _metric_ring(row: ObstructionRow) -> PolyRing:
-    real, cpx = ((row.mu.real, row.mu.cpx) if row.mu
-                 else _POTENTIAL.get(row.condition, ((), ())))
+    real, cpx = (row.mu.real, row.mu.cpx) if row.mu else ((), ())
+    potential = [f"b{k}" for k in range(1, len(EQUATIONS[row.condition].potentials) + 1)]
     return PolyRing(real_vars=["l1", "l2", "l3", *row.sym_real, *real],
-                    complex_vars=["w1", "w2", "w3", *row.sym_cpx, *cpx])
+                    complex_vars=["w1", "w2", "w3", *row.sym_cpx, *cpx, *potential])
 
 
 def _omega(ring: PolyRing, shape: str) -> Form:
@@ -276,26 +271,20 @@ def _mu_re2_minus_re3(scale_name: str) -> Twist:
 
 
 def _build_residual(row: ObstructionRow, ctx: ReplayContext, frame):
-    ring = ctx.ring
-    om = _omega(ring, "almost_abelian" if row.family_id.startswith("AA-") else "full")
-    if row.condition in ("lcskt", "lck"):
-        base = torsion_H(frame, om) if row.condition == "lcskt" else om
+    """The operator of the row's condition at the generic omega, minus mu ^
+    inner for a twisted condition, or minus d of the generic potential."""
+    eq = EQUATIONS[row.condition]
+    om = _omega(ctx.ring, "almost_abelian" if row.family_id.startswith("AA-") else "full")
+    value, inner = eq.at(frame, om)
+    if eq.twisted:
         mu = row.mu.build(ctx)
-        if any(frame.d(mu).coeffs.values()):
+        if frame.d(mu):
             raise AssertionError("twisting form is not closed")
-        return frame.d(base) - mu.wedge(base)
-    if row.condition == "strongly_gauduchon":
-        beta = Form(6, 3, {(1, 2, 3): ring.one()}).wedge(
-            _mu_form({4: ring.var("b1"), 5: ring.var("b2"), 6: ring.var("b3")}))
-        return frame.del_(om.wedge(om)) - frame.dbar(beta)
-    if row.condition == "tamed":
-        beta = Form(6, 2, {(1, 2): ring.var("b1"), (1, 3): ring.var("b2")})
-        if any(frame.del_(beta).coeffs.values()):
-            raise AssertionError("taming candidate is not del-closed")
-        return frame.del_(om) - frame.dbar(beta)
-    if row.condition == "first_gauduchon":
-        return first_gauduchon_coefficient(frame, om)
-    raise ValueError(f"no residual for condition {row.condition!r}")
+        return value - mu.wedge(inner)
+    if eq.potentials:
+        return value - frame.d(Form(6, len(eq.potentials[0]), {
+            key: ctx.v(f"b{k}") for k, key in enumerate(eq.potentials, 1)}))
+    return value
 
 
 def _exact(values: dict) -> dict:
@@ -333,8 +322,8 @@ def replay_obstruction_row(row: ObstructionRow) -> dict:
 
     A step whose value differs from its expected value ends the replay: the
     report has ``"ok": False`` and the mismatch under ``"detail"``.  A row
-    whose context cannot be built (a twisting form that is not closed, a
-    taming candidate that is not del-closed) raises ``AssertionError``."""
+    whose context cannot be built (a twisting form that is not closed)
+    raises ``AssertionError``."""
     branches = row.steps
     if not isinstance(branches[0], Branch):
         branches = (Branch(row.branch, row.steps),)
@@ -800,7 +789,8 @@ def _rows_firstg() -> list:
         return ObstructionRow(
             algebra, "first_gauduchon", family, branch, "residual_nonzero",
             signs=signs, sym_real=sym_real, sym_cpx=sym_cpx, samples=samples, note=note,
-            steps=(Step("del dbar omega ^ omega", lambda c: c.value(), expected),))
+            steps=(Step("del dbar omega ^ omega", lambda c: c.xi(1, 4, 2, 5, 3, 6),
+                        expected),))
 
     rows.append(fg(
         "s6.145^0", "N51-145", "",

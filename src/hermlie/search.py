@@ -30,6 +30,7 @@ labeled evidence, not proof.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -49,13 +50,11 @@ from .cpx import (
 )
 from .herm import (
     CHECKERS,
+    EQUATIONS,
     HermitianMetric,
     closed_one_forms,
     fundamental_form,
     is_positive,
-    strongly_gauduchon_columns,
-    tamed_columns,
-    torsion_H,
 )
 from .obstructions import obstruction_table, replay_obstruction_row, rules_out
 
@@ -337,11 +336,6 @@ def find_complex_structure(g: LieAlgebra, cfg: Optional[SearchConfig] = None) ->
 # metric search
 # ---------------------------------------------------------------------------
 
-def _vec(form: Form, slots) -> np.ndarray:
-    """The exact coefficients of ``form`` on ``slots``, rounded to complex."""
-    return np.array([complex(form.coeffs.get(t, GR_ZERO)) for t in slots], dtype=complex)
-
-
 def _metric_basis_forms():
     """The fundamental forms of the nine unit coefficient vectors
     (l1, l2, l3, x1, y1, x2, y2, x3, y3), with w_k = x_k + i y_k."""
@@ -353,79 +347,55 @@ def _metric_basis_forms():
     return basis
 
 
+def _vec(form: Form, slots) -> np.ndarray:
+    """The exact coefficients of ``form`` on ``slots``, rounded to complex."""
+    return np.array([complex(form.coeffs.get(t, GR_ZERO)) for t in slots], dtype=complex)
+
+
 def _columns(forms, slots) -> np.ndarray:
     """Matrix whose column ``s`` is ``forms[s]`` on ``slots``."""
     return np.stack([_vec(f, slots) for f in forms], axis=1)
 
 
-def _linear(op, forms, slots) -> np.ndarray:
-    """``(slots, 9)`` tensor whose column ``s`` is ``op(forms[s])``."""
-    return _columns([op(f) for f in forms], slots)
-
-
-def _quadratic(op, left, right, slots) -> np.ndarray:
-    """``(slots, 9, 9)`` tensor whose entry ``[:, s, t]`` is ``op(left[s], right[t])``."""
-    return np.stack([_linear(functools.partial(op, a), right, slots) for a in left], axis=1)
-
-
 class _MetricResidual:
     """Precompiled residual for one (complex structure, condition) pair.
 
-    The metric 2-form is linear in nine real coefficients ``p``; every
-    condition residual is a linear or quadratic tensor in ``p``, built once
-    with the exact frame operators and compiled into real floats:
+    The metric 2-form is linear in nine real coefficients ``p``; a
+    condition's residual is the operator of its ``herm.EQUATIONS`` entry, a
+    linear or quadratic tensor in ``p``, built once with the exact frame
+    operators and compiled into real floats:
 
-    * a condition with potential columns ``beta`` (the columns the exact
-      checkers in ``herm`` solve with) has the fixed orthogonal projection
-      off their span folded into its tensor ``T``;
+    * a condition with potentials has the fixed orthogonal projection off the
+      span of their columns ``beta`` (the columns the exact checkers solve
+      with) folded into its tensor ``T``;
     * complex rows are real-stacked, real parts first and then imaginary
       parts, so a real ``p`` gives the real residual rows directly;
     * a quadratic ``T[z, s, t] p_s p_t`` is kept as ``S = T + T^T`` flattened
       to ``(rows * 9, 9)``: its Jacobian is ``(S @ p).reshape(rows, 9)`` and
       its value ``0.5 * jac @ p``.  A linear ``T p`` is its own Jacobian ``T``.
 
-    Conditions with a twisting one-form fit ``mu`` per iterate: a real
-    least-squares fit over the tensors of the closed real one-forms,
-    compiled the same way, to ``(rows, len(mu), 9)`` Jacobians.
+    Twisted conditions fit ``mu`` per iterate: a real least-squares fit over
+    the tensors of the closed real one-forms wedged with the form the
+    operator is d of, compiled the same way, to ``(rows, len(mu), 9)``
+    Jacobians.
     """
 
     def __init__(self, cx: Complexification, condition: str):
-        if condition not in CHECKERS:
+        if condition not in EQUATIONS:
             raise ValueError(f"unknown condition: {condition!r}")
-        frame = cx.frame
-        basis = _metric_basis_forms()
-        d3, d4, d5 = (all_index_tuples(6, k) for k in (3, 4, 5))
-        mus = ([cx.to_alpha(m) for m in closed_one_forms(cx)]
-               if condition in ("lck", "lcb", "lcskt") else [])
-        beta = None  # potential columns; the residual is projected off their span
-        mu = []
-        if condition == "kahler":
-            T = _linear(frame.d, basis, d3)
-        elif condition == "skt":
-            T = _linear(lambda b: frame.del_(frame.dbar(b)), basis, d4)
-        elif condition == "tamed":
-            T = _linear(frame.del_, basis, d3)
-            beta = _columns(tamed_columns(frame), d3)
-        elif condition in ("balanced", "lcb"):
-            T = _quadratic(lambda a, b: frame.d(a.wedge(b)), basis, basis, d5)
-            mu = [_quadratic(lambda a, b: m.wedge(a.wedge(b)), basis, basis, d5)
-                  for m in mus]
-        elif condition == "strongly_gauduchon":
-            T = _quadratic(lambda a, b: frame.del_(a.wedge(b)), basis, basis, d5)
-            beta = _columns(strongly_gauduchon_columns(frame), d5)
-        elif condition == "first_gauduchon":
-            leads = [frame.del_(frame.dbar(b)) for b in basis]
-            T = _quadratic(Form.wedge, leads, basis, [(1, 2, 3, 4, 5, 6)])
-        elif condition == "lck":
-            T = _linear(frame.d, basis, d3)
-            mu = [_linear(m.wedge, basis, d3) for m in mus]
-        else:  # lcskt: H = i(dbar - del)(omega), need dH = mu ^ H
-            torsions = [torsion_H(frame, b) for b in basis]
-            T = _linear(frame.d, torsions, d4)
-            mu = [_linear(m.wedge, torsions, d4) for m in mus]
-        if beta is not None:
-            T = np.tensordot(np.eye(beta.shape[0]) - beta @ np.linalg.pinv(beta), T, axes=1)
-        self._quadratic = T.ndim == 3
+        eq = EQUATIONS[condition]
+        slots = all_index_tuples(6, eq.degree)
+        shape = (len(slots),) + (9,) * eq.arity
+        # the operator at every tuple of basis forms, and the forms it is d of
+        values, inners = zip(*(eq.at(cx.frame, *forms) for forms in
+                               itertools.product(_metric_basis_forms(), repeat=eq.arity)))
+        T = _columns(values, slots).reshape(shape)
+        if eq.potentials:
+            beta = _columns(eq.columns(cx.frame), slots)
+            T = np.tensordot(np.eye(len(slots)) - beta @ np.linalg.pinv(beta), T, axes=1)
+        mu = [_columns([m.wedge(f) for f in inners], slots).reshape(shape)
+              for m in map(cx.to_alpha, closed_one_forms(cx))] if eq.twisted else []
+        self._quadratic = eq.arity == 2
         self._rows = 2 * T.shape[0]
         self._T = self._compiled(T)
         self._mu = self._compiled(np.stack(mu, axis=1)) if mu else None

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hermlie import Complexification, obstructions
 from hermlie.catalog import list_entries
 from hermlie.forms import Form, all_index_tuples
-from hermlie.scalars import GR_ZERO, GaussianRational
+from hermlie.scalars import GR_ZERO, GaussianRational, add_term
 
 # ---------------------------------------------------------------------------
 # exact-scalar strategies
@@ -39,6 +39,31 @@ def exact_forms(draw, dim=6, degree=None, max_terms=4):
 @st.composite
 def rational_vectors(draw, dim=6):
     return [draw(small_fractions) for _ in range(dim)]
+
+
+def contract(form, vector):
+    """Interior product of ``form`` with a vector given by components in
+    f_1..f_dim."""
+    if form.degree == 0:
+        raise ValueError("cannot contract a 0-form")
+    coeffs = {}
+    for key, c in form.coeffs.items():
+        for t, idx in enumerate(key):
+            v = vector[idx - 1]
+            if not v:
+                continue
+            term = c * v
+            add_term(coeffs, key[:t] + key[t + 1:], -term if t % 2 else term)
+    return Form._of(form.dim, form.degree - 1, coeffs)
+
+
+def evaluate(form, *vectors):
+    """``form`` evaluated on ``form.degree`` many vectors."""
+    if len(vectors) != form.degree:
+        raise ValueError("wrong number of vectors")
+    for v in vectors:
+        form = contract(form, v)
+    return form.coeffs.get((), 0)
 
 
 def apply_matrix(J, v):

@@ -39,7 +39,6 @@ from hermlie.forms import Form, all_index_tuples
 from hermlie.herm import (
     CHECKERS,
     HermitianMetric,
-    first_gauduchon_coefficient,
     fundamental_form,
     is_positive,
     torsion_H,
@@ -60,6 +59,8 @@ from hermlie.search import SearchConfig, classification_sweep, find_complex_stru
 from tests.conftest import (
     apply_matrix,
     catalog_complexifications,
+    contract,
+    evaluate,
     exact_forms,
     gaussian_rationals,
     rational_vectors,
@@ -139,7 +140,7 @@ def test_twisted_example_details():
     rows = []
     for i in range(6):
         e_i = [GR_ONE if t == i else GR_ZERO for t in range(6)]
-        c = H.contract(e_i)
+        c = contract(H, e_i)
         rows.append([GaussianRational.coerce(c.coeffs.get(s, GR_ZERO))
                      for s in slots])
     assert len(linalg.rref(rows)[1]) == 6
@@ -172,7 +173,9 @@ def test_key_residuals_recomputed_from_scratch():
     ring = PolyRing(real_vars=["l1", "l2", "l3"],
                     complex_vars=["w1", "w2", "w3", "nu"])
     frame = instantiate_family("N51-145", {"nu": ring.var("nu"), "c": 1})
-    c = first_gauduchon_coefficient(frame, _generic_omega(ring))
+    om = _generic_omega(ring)
+    ddbar = frame.project(frame.d(frame.project(frame.d(om), 1, 2)), 2, 2)
+    c = ddbar.wedge(om).coeff(1, 4, 2, 5, 3, 6)
     l1 = ring.var("l1")
     assert ring.coerce(c) == -2 * l1 * l1
 
@@ -348,8 +351,8 @@ class TestPropertySuites:
         Y = data.draw(rational_vectors())
         Z = data.draw(rational_vectors())
         jx, jy, jz = (apply_matrix(cx.J, v) for v in (X, Y, Z))
-        lhs = GaussianRational.coerce(H_real.evaluate(X, Y, Z))
-        rhs = -GaussianRational.coerce(dom.evaluate(jx, jy, jz))
+        lhs = GaussianRational.coerce(evaluate(H_real, X, Y, Z))
+        rhs = -GaussianRational.coerce(evaluate(dom, jx, jy, jz))
         assert lhs == rhs
 
     @PROPERTY_SETTINGS

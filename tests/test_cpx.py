@@ -19,7 +19,7 @@ from hermlie.cpx import (
 from hermlie.forms import Form, all_index_tuples
 from hermlie.liealg import ce_differential, parse_structure_equations
 from hermlie.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
-from tests.conftest import apply_matrix
+from tests.conftest import apply_matrix, evaluate
 
 ABELIAN = parse_structure_equations("(0, 0, 0, 0, 0, 0)")
 CONTROL = parse_structure_equations("(f35+f16, f45-f26, f36, -f46, 0, 0)")
@@ -152,8 +152,8 @@ class TestComplexification:
             for k in range(6):
                 e = [GR_ONE if t == k else GR_ZERO for t in range(6)]
                 je = apply_matrix(cx.J, e)
-                lhs = a.evaluate(je)
-                rhs = GR_I * GaussianRational.coerce(a.evaluate(e))
+                lhs = evaluate(a, je)
+                rhs = GR_I * GaussianRational.coerce(evaluate(a, e))
                 assert GaussianRational.coerce(lhs) == rhs
 
     def test_to_alpha_to_real_roundtrip(self):

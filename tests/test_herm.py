@@ -24,7 +24,6 @@ from hermlie.herm import (
     check_all,
     check_lck,
     closed_one_forms,
-    first_gauduchon_coefficient,
     fundamental_form,
     is_positive,
     is_positive_form,
@@ -36,6 +35,7 @@ from hermlie.herm import (
 from hermlie.liealg import ce_differential
 from hermlie.scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational
 from hermlie.search import entry_complexification
+from tests.conftest import evaluate
 
 # the benchmark's session workload draws its seeded metrics from its pools
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -57,7 +57,7 @@ def gram_verdict(cx, omega_real, margin=1e-9):
     n = cx.g.dim
     basis = [[GR_ONE if t == i else GR_ZERO for t in range(n)] for i in range(n)]
     jcols = [[cx.J[i][j] for i in range(n)] for j in range(n)]
-    G = np.array([[complex(GaussianRational.coerce(omega_real.evaluate(basis[i], jcols[j])))
+    G = np.array([[complex(GaussianRational.coerce(evaluate(omega_real, basis[i], jcols[j])))
                    for j in range(n)] for i in range(n)])
     if np.abs(G - G.T).max() > margin:
         return False
@@ -235,11 +235,27 @@ class TestDerivedQuantities:
         for theta in basis:
             assert not ce_differential(cx.g, theta)
 
-    def test_first_gauduchon_coefficient_matches_checker(self):
-        _, cx, om = example_cx("s6.25", "skt")
-        c = first_gauduchon_coefficient(cx.frame, om)
+    @pytest.mark.parametrize("name,condition", [("s6.25", "skt"), ("s6.154^0", "lcskt"),
+                                                ("s5.16+R", "balanced")])
+    def test_first_gauduchon_certificate_is_the_top_coefficient(self, name, condition):
+        # the a^{123 1'2'3'} coefficient of del dbar omega ^ omega, from scratch
+        _, cx, om = example_cx(name, condition)
+        frame = cx.frame
+        ddbar = frame.project(frame.d(frame.project(frame.d(om), 1, 2)), 2, 2)
+        c = ddbar.wedge(om).coeff(1, 2, 3, 4, 5, 6)
         report = CHECKERS["first_gauduchon"](cx, om)
         assert report.holds == (not c)
+        assert report.certificate == {"top_coefficient": repr(c)}
+
+    @pytest.mark.parametrize("omega", [
+        Form(6, 2, {}),                                        # omega = 0
+        Form(6, 2, {(1, 4): GR_I}),                            # rank 2: omega^2 = 0
+        Form(6, 2, {(1, 4): GR_I, (2, 5): GR_I}),              # rank 4: omega^3 = 0
+    ], ids=["zero", "rank 2", "rank 4"])
+    def test_lee_form_of_a_degenerate_omega_is_refused(self, omega):
+        _, cx, _ = example_cx("s6.25", "skt")
+        with pytest.raises(ValueError, match="omega\\^2 is degenerate"):
+            lee_form(cx, omega)
 
 
 class TestCheckers:

@@ -29,6 +29,7 @@ from hermlie.liealg import (
     verify_nilradical,
 )
 from hermlie.scalars import GR_ONE, GR_ZERO, GaussianRational
+from tests.conftest import evaluate
 
 HEIS = "(0, 0, f12, 0, 0, 0)"        # [f1, f2] = -f3
 AFFINE = "(f12, 0, 0, 0, 0, 0)"      # [f1, f2] = -f1, not unimodular
@@ -101,7 +102,7 @@ class TestStructureConstants:
         for i in range(1, 7):
             for j in range(1, 7):
                 for k in range(j + 1, 7):
-                    lhs = g.d1[i - 1].evaluate(basis_vector(j), basis_vector(k))
+                    lhs = evaluate(g.d1[i - 1], basis_vector(j), basis_vector(k))
                     rhs = -g.bracket(basis_vector(j), basis_vector(k))[i - 1]
                     assert lhs == rhs
 

@@ -300,22 +300,48 @@ GOLDEN_METRICS = [(f"{entry.name}#{k}", ex) for entry in list_entries()
                   for k, ex in enumerate(entry.examples) if ex.omega]
 
 
+def _golden_structure(ex):
+    """The example's complexification, omega in its complex coframe, and
+    omega's coordinates p = (l1, l2, l3, Re w1, Im w1, Re w2, Im w2, Re w3,
+    Im w3)."""
+    cx = Complexification.from_real(ex.algebra_instance(), ex.j())
+    omega = cx.to_alpha(ex.omega_form())
+    metric = metric_from_alpha_form(omega)
+    p = np.array([float(GaussianRational.coerce(c).re) for c in metric.lams]
+                 + [float(part) for w in metric.ws
+                    for part in (GaussianRational.coerce(w).re,
+                                 GaussianRational.coerce(w).im)])
+    return cx, omega, p
+
+
 class TestMetricResidual:
     @pytest.mark.parametrize("ex", [ex for _, ex in GOLDEN_METRICS],
                              ids=[name for name, _ in GOLDEN_METRICS])
     def test_vanishes_where_the_exact_checker_holds(self, ex):
-        cx = Complexification.from_real(ex.algebra_instance(), ex.j())
-        omega = cx.to_alpha(ex.omega_form())
-        metric = metric_from_alpha_form(omega)
-        # p = (l1, l2, l3, Re w1, Im w1, Re w2, Im w2, Re w3, Im w3)
-        p = np.array([float(GaussianRational.coerce(c).re) for c in metric.lams]
-                     + [float(part) for w in metric.ws
-                        for part in (GaussianRational.coerce(w).re,
-                                     GaussianRational.coerce(w).im)])
+        cx, omega, p = _golden_structure(ex)
         holding = {cond for cond, check in CHECKERS.items() if check(cx, omega).holds}
         assert set(ex.conditions) <= holding
         for cond in holding:
             assert np.abs(_MetricResidual(cx, cond)(p)).max() < 1e-9, cond
+
+    def test_agrees_with_the_exact_checker(self):
+        # on every golden omega and condition, the checker holds iff the
+        # residual vanishes, except lcskt at an SKT omega (dH = 0) where the
+        # checker finds no nonzero closed mu: the float fit takes mu = 0
+        disagree, skt_without_lcskt, failing = set(), set(), []
+        for name, ex in GOLDEN_METRICS:
+            cx, omega, p = _golden_structure(ex)
+            holds = {cond: check(cx, omega).holds for cond, check in CHECKERS.items()}
+            for cond in CHECKERS:
+                norm = np.abs(_MetricResidual(cx, cond)(p)).max()
+                if (norm <= 1e-9) != holds[cond]:
+                    disagree.add((name, cond))
+                elif not holds[cond]:
+                    failing.append(norm)
+            if holds["skt"] and not holds["lcskt"]:
+                skt_without_lcskt.add((name, "lcskt"))
+        assert skt_without_lcskt and disagree == skt_without_lcskt
+        assert min(failing) > 1e-3  # far from the 1e-9 threshold
 
     @pytest.mark.parametrize("entry", list_entries(), ids=lambda e: e.name)
     def test_matches_the_exact_residual(self, entry):
